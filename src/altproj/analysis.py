@@ -50,12 +50,9 @@ class RateCurve:
 
 def _deflate(s, m_comp):
     """Component of ``s`` orthogonal to the intersection (basis-wise removal)."""
-    cols = []
-    for j in range(s.dim):
-        r = linalg.project(m_comp, s.basis[:, j])
-        if np.linalg.norm(r) > DEFLATION_TOL:
-            cols.append(r)
-    return linalg.orthonormalize(cols, tol=DEFLATION_TOL, ambient_dim=s.ambient_dim)
+    r = m_comp.basis @ (m_comp.basis.T @ s.basis)
+    keep = np.linalg.norm(r, axis=0) > DEFLATION_TOL
+    return linalg.orthonormalize(r[:, keep].T, tol=DEFLATION_TOL, ambient_dim=s.ambient_dim)
 
 
 def friedrichs_cosine(s1, s2, tol=linalg.DEFAULT_TOL):

@@ -623,9 +623,10 @@ def sakai_blowup(construction):
     squared increments between steps m < n sum to ||x_m||^2 - ||x_n||^2.  The
     ratio ||x_n - x_m||^2 / (||x_m||^2 - ||x_n||^2) over pairs among x_0 = e_1
     and the checkpoint states is therefore the constant's ratio for those pairs
-    of steps, and its maximum bounds A over all pairs n > m >= 0 from below
-    without stepping the schedule.  Pairs without motion are skipped; 0.0
-    when none moved.
+    of steps.  Its maximum over those pairs, x_0 included, bounds A over all
+    pairs n > m >= 0 from below without stepping the schedule;
+    ``iteration.sakai_constant`` takes n > m >= 1 instead.  Pairs without
+    motion are skipped; 0.0 when none moved.
     """
     if construction.K < 2:
         raise ValueError("need a construction with K >= 2")

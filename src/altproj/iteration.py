@@ -200,10 +200,10 @@ def kakutani_gaps(subspaces, x0, n_max, tol=linalg.DEFAULT_TOL):
 def sakai_constant(trace):
     """Smallest empirical A bounding ||x_n - x_m||^2 by A * sum of increments^2.
 
-    Maximizes over all pairs n > m >= 1 of recorded iterates; pairs whose
-    increment sum is exactly zero are skipped, and 0.0 is returned when no
-    pair has a positive denominator.  Requires the trace to have been
-    recorded with ``store_iterates=True``.
+    Maximizes over pairs n > m >= 1 of recorded iterates, so x_0 is left out
+    (``divergence.sakai_blowup`` pairs it with the checkpoints).  Pairs with a
+    zero increment sum are skipped; 0.0 when no pair has a positive
+    denominator.  Needs a trace recorded with ``store_iterates=True``.
     """
     if trace.stored_iterates is None:
         raise ValueError("sakai_constant needs a trace recorded with store_iterates=True")

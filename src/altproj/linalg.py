@@ -84,47 +84,50 @@ class Subspace:
     def full(cls, n):
         return cls(n, np.eye(n))
 
-    @classmethod
-    def span(cls, vectors, tol=DEFAULT_TOL, ambient_dim=None):
-        return orthonormalize(vectors, tol=tol, ambient_dim=ambient_dim)
-
 
 def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
-    """Orthonormal basis of the span of ``vectors`` (modified Gram-Schmidt).
+    """Orthonormal basis of the span of ``vectors`` (CGS2).
 
-    A candidate direction is kept only if its residual after deflating the
-    directions already accepted exceeds ``tol`` times the largest input norm
-    (or ``tol`` itself when every input is zero).  A second deflation pass is
-    applied so the result meets the Subspace orthonormality invariant.
+    ``vectors`` is a sequence of vectors or a 2-D array of row vectors.  Each
+    candidate is deflated against the accepted block Q by ``r -= Q (Q^T r)``,
+    twice ("twice is enough"), and kept only if its residual then exceeds
+    ``tol`` times the largest input norm (``tol`` itself when all are zero).
+    The inputs are first scaled by the power of two that brings the largest
+    entry into [1/2, 1), so no norm overflows; only subnormal results round.
 
     An empty input needs ``ambient_dim`` and yields the zero subspace.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    vs = [as_vector(v) for v in vectors]
-    if not vs:
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        a = np.asarray(vectors, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("vector contains non-finite entries")
+    else:
+        vs = [as_vector(v) for v in vectors]
+        if any(v.shape[0] != vs[0].shape[0] for v in vs):
+            raise ValueError("input vectors have mismatched dimensions")
+        a = np.array(vs) if vs else np.zeros((0, 0))
+    if not a.shape[0]:
         if ambient_dim is None:
             raise ValueError("empty input: ambient_dim is required")
         return Subspace.zero(ambient_dim)
-    n = vs[0].shape[0]
-    for v in vs:
-        if v.shape[0] != n:
-            raise ValueError("input vectors have mismatched dimensions")
+    n = a.shape[1]
     if ambient_dim is not None and ambient_dim != n:
         raise ValueError(f"vectors have length {n}, ambient_dim says {ambient_dim}")
-    scale = max((float(np.linalg.norm(v)) for v in vs), default=0.0) or 1.0
-    cols = []
-    for v in vs:
-        r = v.astype(float, copy=True)
-        for q in cols:
-            r -= (q @ r) * q
-        for q in cols:  # reorthogonalization pass
-            r -= (q @ r) * q
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    scale = float(np.max(np.linalg.norm(a, axis=1))) or 1.0
+    basis = np.empty((n, a.shape[0]), order="F")
+    k = 0
+    for v in a:
+        r, q = v.copy(), basis[:, :k]
+        r -= q @ (q.T @ r)
+        r -= q @ (q.T @ r)
         nr = float(np.linalg.norm(r))
         if nr > tol * scale:
-            cols.append(r / nr)
-    basis = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return Subspace(n, basis)
+            basis[:, k] = r / nr
+            k += 1
+    return Subspace(n, basis[:, :k])
 
 
 def project(s, x):
@@ -157,8 +160,7 @@ def subspace_sum(s1, s2, tol=DEFAULT_TOL):
     """Span of the union of two subspaces."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
-    cols = [s1.basis[:, j] for j in range(s1.dim)] + [s2.basis[:, j] for j in range(s2.dim)]
-    return orthonormalize(cols, tol=tol, ambient_dim=s1.ambient_dim)
+    return orthonormalize(np.hstack([s1.basis, s2.basis]).T, tol=tol, ambient_dim=s1.ambient_dim)
 
 
 def intersect(subspaces, tol=DEFAULT_TOL):
@@ -172,12 +174,8 @@ def intersect(subspaces, tol=DEFAULT_TOL):
             raise ValueError("subspaces live in different ambient dimensions")
     if len(ss) == 1:
         return ss[0]
-    cols = []
-    for s in ss:
-        c = complement(s)
-        cols.extend(c.basis[:, j] for j in range(c.dim))
-    total = orthonormalize(cols, tol=tol, ambient_dim=n)
-    return complement(total)
+    cols = np.hstack([complement(s).basis for s in ss])
+    return complement(orthonormalize(cols.T, tol=tol, ambient_dim=n))
 
 
 def contains(outer, inner, tol=DEFAULT_TOL):
@@ -236,7 +234,7 @@ def random_subspace(rng, n, d, tol=DEFAULT_TOL):
     if d == 0:
         return Subspace.zero(n)
     g = rng.standard_normal((n, d))
-    s = orthonormalize([g[:, j] for j in range(d)], tol=tol, ambient_dim=n)
+    s = orthonormalize(g.T, tol=tol, ambient_dim=n)
     if s.dim != d:
         raise ValueError("degenerate random draw")  # probability zero
     return s
@@ -263,4 +261,4 @@ def load_subspace(path, tol=DEFAULT_TOL):
                 raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} entries, got {len(rows[-1])}")
     if not rows:
         raise ValueError(f"{path}: no vectors found")
-    return orthonormalize([np.asarray(r) for r in rows], tol=tol)
+    return orthonormalize(np.array(rows), tol=tol)

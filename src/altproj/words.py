@@ -14,9 +14,17 @@ the tree; flat expansions are only materialized on demand for small words.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _exponent_repr(exp):
+    if exp < 10**600:
+        return repr(exp)
+    digits = int((exp.bit_length() - 1) * math.log10(2)) + 1  # exact or one short
+    return f"<{digits + (exp >= 10**digits)}-digit int>"
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,12 @@ class Word:
             else:
                 raise ValueError(f"factor must be a letter or Word, got {type(item)}")
         object.__setattr__(self, "factors", tuple((item, int(exp)) for item, exp in self.factors))
+
+    def __repr__(self):
+        # int-to-str is capped (4300 digits by default): huge exponents show a digit count
+        parts = [f"({item!r}, {_exponent_repr(exp)})" for item, exp in self.factors]
+        factors = f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+        return f"Word(alphabet={self.alphabet}, factors={factors})"
 
     # -- constructors ------------------------------------------------------
 
@@ -129,16 +143,6 @@ class Word:
             unit = item.letters(limit) if isinstance(item, Word) else [item]
             out.extend(unit * exp)
         return out
-
-    def runs(self, limit=10**6):
-        """Flat run-length pairs (letter, exponent), adjacent runs merged."""
-        merged = []
-        for letter in self.letters(limit):
-            if merged and merged[-1][0] == letter:
-                merged[-1][1] += 1
-            else:
-                merged.append([letter, 1])
-        return [(letter, exp) for letter, exp in merged]
 
     # -- substitution and evaluation ---------------------------------------
 

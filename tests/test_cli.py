@@ -71,6 +71,14 @@ class TestRun:
         assert report["converged"] is True
         assert report["final_residual"] < 1e-6
 
+    def test_subspace_entries_near_the_float64_limit(self, tmp_path, capsys):
+        big = write(tmp_path / "big.csv", "1e308,1e308\n")
+        code, stdout, _ = run_main(capsys, [
+            "run", "--spaces", big, "--schedule", "periodic:1",
+            "--x0=1,2", "--out", str(tmp_path / "t.csv")])
+        assert code == 0
+        assert np.allclose(json.loads(stdout)["final_iterate"], [1.5, 1.5], rtol=0, atol=1e-12)
+
     def test_max_steps_without_convergence_exits_two(self, tmp_path, two_lines, capsys):
         m1, m2 = two_lines
         code, stdout, _ = run_main(capsys, [

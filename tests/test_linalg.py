@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altproj import linalg
 from altproj.words import Word
@@ -42,6 +44,91 @@ class TestOrthonormalize:
             if s.dim:
                 gram = s.basis.T @ s.basis
                 assert np.max(np.abs(gram - np.eye(s.dim))) <= 1e-12
+
+    def test_nearly_dependent_candidates_stay_orthonormal(self):
+        # one deflation pass would leave about 1e-16 * 10^g of u in the second direction
+        rng = np.random.default_rng(11)
+        for g in range(4, 9):
+            for _ in range(10):
+                u, w = rng.standard_normal((2, int(rng.integers(2, 9))))
+                s = linalg.orthonormalize([u, u + 10.0**-g * w])
+                assert s.dim == 2
+                assert np.max(np.abs(s.basis.T @ s.basis - np.eye(2))) <= 1e-14
+
+
+def mgs_oracle(vectors, tol=linalg.DEFAULT_TOL):
+    """The earlier orthonormalize: modified Gram-Schmidt, one vector update at a time."""
+    vs = [np.asarray(v, dtype=float) for v in vectors]
+    scale = max((float(np.linalg.norm(v)) for v in vs), default=0.0) or 1.0
+    cols = []
+    for v in vs:
+        r = v.copy()
+        for q in cols:
+            r -= (q @ r) * q
+        for q in cols:
+            r -= (q @ r) * q
+        nr = float(np.linalg.norm(r))
+        if nr > tol * scale:
+            cols.append(r / nr)
+    return np.column_stack(cols) if cols else np.zeros((vs[0].shape[0], 0))
+
+
+@st.composite
+def graded_column_sets(draw):
+    """Rows spanning at most ``rank`` directions: basis rows, combinations of
+    them, duplicates and zeros, each scaled by 10^g for g in -8..8."""
+    n = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((rank, n))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["basis", "combination", "duplicate", "zero"]))
+        if kind == "duplicate" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))].copy())
+            continue
+        if kind == "zero" or rank == 0:
+            v = np.zeros(n)
+        elif kind == "basis":
+            v = base[draw(st.integers(0, rank - 1))]
+        else:
+            v = rng.standard_normal(rank) @ base
+        rows.append(v * 10.0 ** draw(st.integers(-8, 8)))
+    return np.array(rows)
+
+
+class TestOrthonormalizeMatchesMGS:
+    @settings(max_examples=300, deadline=None)
+    @given(graded_column_sets())
+    def test_same_rank_and_projection_as_mgs(self, rows):
+        s = linalg.orthonormalize(list(rows), ambient_dim=rows.shape[1])
+        q = mgs_oracle(rows)
+        assert s.dim == q.shape[1]
+        assert np.max(np.abs(linalg.projection_matrix(s) - q @ q.T), initial=0.0) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(graded_column_sets())
+    def test_array_input_equals_list_of_rows(self, rows):
+        from_array = linalg.orthonormalize(rows, ambient_dim=rows.shape[1])
+        from_list = linalg.orthonormalize(list(rows), ambient_dim=rows.shape[1])
+        assert np.array_equal(from_array.basis, from_list.basis)
+
+    def test_array_input_validated_like_a_list(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.orthonormalize(np.array([[1.0, np.inf]]))
+        with pytest.raises(ValueError, match="ambient_dim says"):
+            linalg.orthonormalize(np.eye(2), ambient_dim=3)
+
+    def test_entries_near_the_float64_limit_keep_their_span(self):
+        s = linalg.orthonormalize([np.array([1e308, 1e308])])
+        assert s.dim == 1
+        assert np.allclose(np.abs(s.basis[:, 0]), [2**-0.5, 2**-0.5], rtol=0, atol=1e-15)
+
+    def test_power_of_two_scaling_keeps_the_bits(self):
+        rows = np.random.default_rng(5).standard_normal((4, 6))
+        base = linalg.orthonormalize(rows).basis
+        for e in (-1000, -3, 5, 1000):
+            assert np.array_equal(linalg.orthonormalize(np.ldexp(rows, e)).basis, base)
 
 
 class TestProject:

@@ -62,6 +62,10 @@ class TestEmit:
         with pytest.raises(ValueError, match="outside alphabet"):
             Schedule.periodic([1, 4], J=3)
 
+    def test_repr_of_a_schedule_holding_a_huge_word(self):
+        s = Schedule.from_word(Word(2, ((1, 10**5000),)))
+        assert "<5001-digit int>" in repr(s)
+
 
 class TestQuasiperiodicity:
     def test_periodic_uniform_pattern(self):

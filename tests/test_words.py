@@ -60,6 +60,16 @@ class TestStructure:
         assert out.length == 2 * block.length + 1
         assert out.letter_count(1) == w.letter_count(1)
 
+    def test_repr_gives_huge_exponents_by_digit_count(self):
+        w = Word(2, ((1, 10**5000), (2, 10**599)))
+        assert repr(w) == f"Word(alphabet=2, factors=((1, <5001-digit int>), (2, {10**599})))"
+        assert repr(Word.group(w, 3)) == f"Word(alphabet=2, factors=(({w!r}, 3),))"
+
+    def test_repr_of_small_words_matches_the_fields(self):
+        w = Word.from_letters(3, [1, 1, 2])
+        assert repr(w) == "Word(alphabet=3, factors=((1, 2), (2, 1)))"
+        assert repr(Word.empty(2)) == "Word(alphabet=2, factors=())"
+
 
 class TestEvaluation:
     def test_matrix_matches_naive_product(self):
