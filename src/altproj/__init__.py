@@ -14,12 +14,12 @@ from .linalg import (
     intersect,
     operator_norm,
     orthonormalize,
+    principal_angles,
     project,
     projection_matrix,
     random_subspace,
     subspace_sum,
     subspaces_equal,
-    word_matrix,
 )
 from .schedules import Schedule, ScheduleExhausted, parse_schedule, quasiperiod_bound, quasiperiod_index
 from .iteration import RunConfig, Trace, kakutani_gaps, reference_limit, run, sakai_constant

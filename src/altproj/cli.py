@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -73,23 +75,23 @@ def _parse_vector(text):
         raise InputError(f"malformed vector {text!r}: {exc}") from None
 
 
+#: Fraction builds 10**exponent exactly, in time and memory growing with it
+_HUGE_EXPONENT = re.compile(r"e[-+]?[\d_]{5,}", re.IGNORECASE)
+
+
 def _parse_eps_list(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        try:
-            if "/" in tok:
-                num, den = tok.split("/")
-                out.append(float(num) / float(den))
-            else:
-                out.append(float(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed accuracy list {text!r}: {exc}") from None
-    return out
+    if _HUGE_EXPONENT.search(text):
+        raise InputError(f"malformed accuracy list {text!r}: an exponent is far outside float64 range")
+    try:
+        return [float(Fraction(tok)) for tok in text.split(",")]
+    except ZeroDivisionError:
+        raise InputError(f"malformed accuracy list {text!r}: zero denominator") from None
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"malformed accuracy list {text!r}: {exc}") from None
 
 
 def _report(payload):
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _write_trace_csv(path, trace):
@@ -227,7 +229,7 @@ def cmd_diverge(args):
                                                   construction.achieved), start=1):
             fh.write(f"{i},{_digits(n_k)},{_fmt(np.linalg.norm(state))},{_fmt(err)}\n")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
     _report(report)
     return 0

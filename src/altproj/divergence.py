@@ -244,34 +244,18 @@ def _tilt_view(chain, x_space, e_space, betas):
     if min(betas) <= _VIEW_RESOLUTION:
         return Unrepresentable(f"tilt beta_1 = {exact.sci(min(betas))} is below float64 resolution")
     n = x_space.ambient_dim
-    nested = list(chain) + [x_space]
-    cols = []
+    adapted = linalg.Subspace.zero(n)
     tier_sizes = []
-    acc = None
-    for s in nested:
-        fresh = []
-        for j in range(s.dim):
-            r = s.basis[:, j].copy()
-            if acc is not None:
-                r -= acc @ (acc.T @ r)
-            for q in fresh:
-                r -= (q @ r) * q
-            if acc is not None:
-                r -= acc @ (acc.T @ r)
-            nr = np.linalg.norm(r)
-            if nr > 1e-10:
-                fresh.append(r / nr)
-        tier_sizes.append(len(fresh))
-        cols.extend(fresh)
-        acc = np.column_stack(cols)
-    if len(cols) != x_space.dim:
+    for s in list(chain) + [x_space]:
+        grown = linalg.subspace_sum(adapted, s)
+        tier_sizes.append(grown.dim - adapted.dim)
+        adapted = grown
+    if adapted.dim != x_space.dim:
         raise ValueError("chain basis extension does not fill the top subspace")
-    adapted = np.column_stack(cols)
     pool = linalg.intersect([linalg.complement(x_space), e_space])
     w = pool.basis[:, :x_space.dim]
-    gammas = np.concatenate([
-        np.full(size, float(betas[t])) for t, size in enumerate(tier_sizes)])
-    return linalg.Subspace(n, (adapted + w * gammas) / np.sqrt(1.0 + gammas**2))
+    gammas = np.repeat([float(b) for b in betas], tier_sizes)
+    return linalg.Subspace(n, (adapted.basis + w * gammas) / np.sqrt(1.0 + gammas**2))
 
 
 def _tilt_gap(gamma):

@@ -76,11 +76,7 @@ class Trace:
 
 def reference_limit(subspaces, x0, tol=linalg.DEFAULT_TOL):
     """Projection of ``x0`` onto the intersection of all subspaces."""
-    ss = list(subspaces)
-    if not ss:
-        raise ValueError("need at least one subspace")
-    x0 = linalg.as_vector(x0, dim=ss[0].ambient_dim)
-    return linalg.project(linalg.intersect(ss, tol=tol), x0)
+    return linalg.project(linalg.intersect(subspaces, tol=tol), x0)
 
 
 def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=False):
@@ -99,6 +95,10 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
         if s.ambient_dim != n:
             raise ValueError("subspaces live in different ambient dimensions")
     x = linalg.as_vector(x0, dim=n).astype(float, copy=True)
+    with np.errstate(over="ignore"):
+        x0_norm = float(np.linalg.norm(x))
+    if not np.isfinite(x0_norm):
+        raise ValueError("x0 is too large: the sum of squares in its norm overflows float64")
     if schedule.J != len(ss):
         raise ValueError(f"schedule alphabet 1..{schedule.J} does not match {len(ss)} subspaces")
     cfg = cfg or RunConfig()
@@ -112,10 +112,9 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
         ref = linalg.as_vector(reference, dim=n)
 
     bases = [s.basis for s in ss]
-    scale = float(np.linalg.norm(x)) or 1.0
-    snap = _SNAP_REL * scale
+    snap = _SNAP_REL * (x0_norm or 1.0)
 
-    norms = [float(np.linalg.norm(x))]
+    norms = [x0_norm]
     increments = []
     indices = []
     residuals = None if ref is None else [float(np.linalg.norm(x - ref))]

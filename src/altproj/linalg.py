@@ -2,12 +2,13 @@
 
 Everything downstream (iteration, angle analysis, the Kaczmarz solver, the
 non-convergence construction) is built on the primitives here: orthonormal
-bases, projection application, subspace algebra (sum, intersection,
-orthogonal complement) and spectral operator norms.
+bases, projection application, subspace algebra (sum, principal angles and
+the intersection, containment and equality read from them, orthogonal
+complement) and spectral operator norms.
 
 Subspaces are stored as matrices with orthonormal columns.  Bases are never
-unique, so subspace equality always means mutual containment up to a
-tolerance, never entrywise basis equality.
+unique, so subspace comparisons are made on principal angles, which do not
+depend on the basis, never on entrywise basis equality.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import Word
-
-#: default relative tolerance for rank decisions
+#: default tolerance: relative for rank decisions, a sine threshold for
+#: comparing subspaces by principal angles
 DEFAULT_TOL = 1e-10
 
 #: a basis matrix Q must satisfy ||Q^T Q - I||_max <= this to be accepted
@@ -163,34 +163,83 @@ def subspace_sum(s1, s2, tol=DEFAULT_TOL):
     return orthonormalize(np.hstack([s1.basis, s2.basis]).T, tol=tol, ambient_dim=s1.ambient_dim)
 
 
+@dataclass(frozen=True, eq=False)
+class PrincipalAngles:
+    """The min(d1, d2) principal angles between two subspaces, smallest first.
+
+    ``angles[i]`` has cosine ``cos[i]`` and sine ``sin[i]``; the unit columns
+    ``vectors1[:, i]`` of the first subspace and ``vectors2[:, i]`` of the
+    second are its principal vectors, so ``vectors1.T @ vectors2 = diag(cos)``.
+    """
+
+    angles: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    vectors1: np.ndarray
+    vectors2: np.ndarray
+
+
+def principal_angles(s1, s2):
+    """Principal angles and vectors by the cosine-sine method.
+
+    With Q2 the basis of the smaller side and Q1 the other, the SVD of
+    G = Q1^T Q2 gives the cosines and vectors (Bjorck & Golub 1973).  Every
+    cosine rounds to 1 below about 1e-8, so the angles up to 45 degrees are
+    resolved by their sines: the singular values of (I - Q1 Q1^T) Q2 =
+    Q2 - Q1 G on their right singular vectors (Knyazev & Argentati 2002).
+    """
+    if s1.ambient_dim != s2.ambient_dim:
+        raise ValueError("subspaces live in different ambient dimensions")
+    swap = s2.dim > s1.dim
+    q1, q2 = (s2.basis, s1.basis) if swap else (s1.basis, s2.basis)
+    g = q1.T @ q2
+    u, cos, vt = np.linalg.svd(g, full_matrices=False)
+    v = vt.T
+    small = int(np.count_nonzero(cos >= np.sqrt(0.5)))
+    vs = v[:, :small]
+    _, sin_small, zt = np.linalg.svd(q2 @ vs - q1 @ (g @ vs), full_matrices=False)
+    v[:, :small] = vs @ zt[::-1].T  # ascending sines, like the angles
+    gv = g @ v[:, :small]
+    cos[:small] = np.linalg.norm(gv, axis=0)
+    u[:, :small] = gv / cos[:small]
+    cos = np.minimum(cos, 1.0)
+    sin = np.concatenate([sin_small[::-1], np.sqrt(1.0 - cos[small:] ** 2)])
+    vectors = (q2 @ v, q1 @ u) if swap else (q1 @ u, q2 @ v)
+    return PrincipalAngles(np.arctan2(sin, cos), cos, sin, *vectors)
+
+
 def intersect(subspaces, tol=DEFAULT_TOL):
-    """Intersection of subspaces via the complement of the sum of complements."""
+    """Intersection of subspaces, folded pairwise over principal angles.
+
+    Each step keeps the principal vectors of the running intersection whose
+    angle to the next subspace has sine at or below ``tol``.
+    """
     ss = list(subspaces)
     if not ss:
         raise ValueError("intersect needs at least one subspace")
-    n = ss[0].ambient_dim
-    for s in ss:
-        if s.ambient_dim != n:
-            raise ValueError("subspaces live in different ambient dimensions")
-    if len(ss) == 1:
-        return ss[0]
-    cols = np.hstack([complement(s).basis for s in ss])
-    return complement(orthonormalize(cols.T, tol=tol, ambient_dim=n))
+    meet = ss[0]
+    for s in ss[1:]:
+        pa = principal_angles(meet, s)
+        meet = Subspace(meet.ambient_dim, pa.vectors1[:, pa.sin <= tol])
+    return meet
 
 
 def contains(outer, inner, tol=DEFAULT_TOL):
-    """True when every basis direction of ``inner`` lies in ``outer`` within ``tol``."""
+    """True when ``inner`` lies in ``outer``: every principal angle has sine <= ``tol``.
+
+    The largest sine is ||(I - P_outer) Q_inner||, so the verdict does not
+    depend on the basis of either subspace.
+    """
     if outer.ambient_dim != inner.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
-    if inner.dim == 0:
-        return True
-    residual = inner.basis - outer.basis @ (outer.basis.T @ inner.basis) if outer.dim else inner.basis
-    return float(np.max(np.linalg.norm(residual, axis=0))) <= tol
+    if inner.dim > outer.dim:
+        return False
+    return inner.dim == 0 or float(principal_angles(outer, inner).sin[-1]) <= tol
 
 
 def subspaces_equal(s1, s2, tol=DEFAULT_TOL):
-    """Subspace equality = mutual containment within ``tol``."""
-    return contains(s1, s2, tol) and contains(s2, s1, tol)
+    """Equal dimensions and every principal angle with sine <= ``tol``."""
+    return s1.dim == s2.dim and contains(s1, s2, tol)
 
 
 def operator_norm(a):
@@ -199,27 +248,6 @@ def operator_norm(a):
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-def word_matrix(w, projections):
-    """Operator product encoded by the word ``w`` over the given square matrices.
-
-    The last letter of the word acts first on a vector; the empty word is the
-    identity.  Letter exponents are evaluated with binary matrix powering, so
-    the matrices need not be idempotent.
-    """
-    if not isinstance(w, Word):
-        raise TypeError("w must be a Word")
-    mats = [as_matrix(p) for p in projections]
-    if not mats:
-        raise ValueError("word_matrix needs at least one matrix")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise ValueError("all matrices must be square and of equal size")
-    if w.alphabet > len(mats):
-        raise ValueError(f"word uses {w.alphabet} letters but only {len(mats)} matrices given")
-    return w.matrix(mats)
 
 
 def random_subspace(rng, n, d, tol=DEFAULT_TOL):

@@ -162,23 +162,22 @@ class Word:
         return Word(alphabet, tuple(factors))
 
     def matrix(self, operators):
-        """Dense matrix of the operator product (binary powering per factor)."""
+        """Dense matrix of the operator product over square matrices of one size.
+
+        The last letter acts first on a vector; the empty word is the
+        identity.  Letter exponents use binary matrix powering, so the
+        matrices need not be idempotent.
+        """
         ops = [np.asarray(a, dtype=float) for a in operators]
-        n = ops[0].shape[0]
-        out = np.eye(n)
+        if not ops:
+            raise ValueError("a word needs at least one matrix")
+        shape = ops[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in ops):
+            raise ValueError("all matrices must be square and of equal size")
+        if self.alphabet > len(ops):
+            raise ValueError(f"word uses {self.alphabet} letters but only {len(ops)} matrices given")
+        out = np.eye(shape[0])
         for item, exp in self.factors:
             base = item.matrix(ops) if isinstance(item, Word) else ops[item - 1]
             out = out @ np.linalg.matrix_power(base, exp)
         return out
-
-    def apply(self, operators, x):
-        """Apply the word to a vector: the last letter acts first."""
-        ops = [np.asarray(a, dtype=float) for a in operators]
-        y = np.asarray(x, dtype=float).copy()
-        for item, exp in reversed(self.factors):
-            if isinstance(item, Word) and exp == 1:
-                y = item.apply(ops, y)
-            else:
-                base = item.matrix(ops) if isinstance(item, Word) else ops[item - 1]
-                y = np.linalg.matrix_power(base, exp) @ y
-        return y

@@ -79,6 +79,17 @@ class TestRun:
         assert code == 0
         assert np.allclose(json.loads(stdout)["final_iterate"], [1.5, 1.5], rtol=0, atol=1e-12)
 
+    def test_overflowing_start_vector_is_refused(self, tmp_path, capsys):
+        line = write(tmp_path / "l.csv", "1,0\n")
+        plane = write(tmp_path / "m.csv", "0,1\n1,0\n")
+        code, stdout, stderr = run_main(capsys, [
+            "--max-steps", "5", "run", "--spaces", line, plane, "--schedule", "periodic:1,2",
+            "--x0=1e308,1e308", "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert stdout == ""
+        errors = [ln for ln in stderr.splitlines() if "error" in ln]
+        assert len(errors) == 1 and "x0" in errors[0] and "overflows" in errors[0]
+
     def test_max_steps_without_convergence_exits_two(self, tmp_path, two_lines, capsys):
         m1, m2 = two_lines
         code, stdout, _ = run_main(capsys, [
@@ -164,6 +175,20 @@ class TestDiverge:
             "diverge", "--K", "2", "--eps", "0.2,0.2", "--out", str(tmp_path / "c.json")])
         assert code == 1
         assert "1/2" in stderr
+
+    @pytest.mark.parametrize("eps, cause", [
+        ("1/2/3,1/64", "Invalid literal for Fraction: '1/2/3'"),
+        ("nan,1/64", "Invalid literal for Fraction: 'nan'"),
+        ("1e999999999,1/64", "outside float64 range"),
+        ("1/0,1/64", "zero denominator"),
+    ])
+    def test_malformed_accuracy_list_names_the_token(self, tmp_path, capsys, eps, cause):
+        code, stdout, stderr = run_main(capsys, [
+            "diverge", "--K", "2", "--eps", eps, "--out", str(tmp_path / "c.json")])
+        assert code == 1
+        assert stdout == ""
+        errors = [ln for ln in stderr.splitlines() if "error" in ln]
+        assert len(errors) == 1 and cause in errors[0]
 
     def test_desk_scale_default_eps_reports_cap(self, tmp_path, capsys):
         code, _, stderr = run_main(capsys, [

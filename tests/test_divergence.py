@@ -115,10 +115,10 @@ class TestQuarterCircle:
         assert half.phi.letter_count(1) == sum(half.r)
 
     def test_word_matches_direct_evaluation(self, half):
-        # applying phi letter-by-letter equals the grouped-power evaluation
+        # the dense word matrix reproduces the exactly evaluated error
         p_w = linalg.projection_matrix(linalg.orthonormalize([np.eye(5)[:, 0], np.eye(5)[:, 1]]))
         mats = [p_w] + [linalg.projection_matrix(s) for s in half.chain]
-        out = half.phi.apply(mats, np.eye(5)[:, 0])
+        out = half.phi.matrix(mats) @ np.eye(5)[:, 0]
         assert np.linalg.norm(out - np.eye(5)[:, 1]) == pytest.approx(half.achieved_error, abs=1e-9)
 
     def test_second_budget_also_builds(self):
@@ -570,7 +570,7 @@ class TestSakaiBlowup:
         states = []
         x = e[0].copy()
         for w in words:
-            x = w.apply(projections, x)
+            x = w.matrix(projections) @ x
             states.append(x.copy())
         return GluedConstruction(
             ambient_dim=n, K=2, epsilons=[0.9, 0.9], M1=m1, M2=m2, M3=m3,

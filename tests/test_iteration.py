@@ -57,6 +57,13 @@ class TestRun:
         with pytest.raises(ValueError, match="mismatch"):
             iteration.run(two_lines(), Schedule.periodic([1, 2]), np.array([1.0, 2.0, 3.0]))
 
+    def test_start_whose_norm_overflows_is_rejected(self):
+        # every norm the trace records would be inf, and the snap rule would
+        # freeze the iterate at its start
+        for x0 in ([1e308, 1e308], [1e200, 0.0]):
+            with pytest.raises(ValueError, match="x0 is too large"):
+                iteration.run(two_lines(), Schedule.periodic([1, 2]), np.array(x0))
+
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ValueError, match="alphabet"):
             iteration.run(two_lines(), Schedule.periodic([1, 2, 3]), np.array([1.0, 2.0]))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altproj import linalg
-from altproj.words import Word
 
 
 def line(*coords):
@@ -173,6 +172,115 @@ class TestComplement:
             assert linalg.subspaces_equal(linalg.complement(linalg.complement(s)), s, tol=1e-10)
 
 
+def tilted_pair(rng, n, angles):
+    """Two subspaces of R^n whose principal angles are exactly ``angles``."""
+    d = len(angles)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    bent = q[:, :d] * np.cos(angles) + q[:, d:2 * d] * np.sin(angles)
+    return linalg.Subspace(n, q[:, :d]), linalg.Subspace(n, bent)
+
+
+class TestPrincipalAngles:
+    def check_vectors(self, s1, s2, pa):
+        # unit principal vectors inside their subspaces, paired by the cosines
+        for s, v in ((s1, pa.vectors1), (s2, pa.vectors2)):
+            assert np.max(np.abs(v.T @ v - np.eye(v.shape[1])), initial=0.0) <= 1e-14
+            assert np.max(np.abs(s.basis @ (s.basis.T @ v) - v), initial=0.0) <= 1e-14
+        assert np.max(np.abs(pa.vectors1.T @ pa.vectors2 - np.diag(pa.cos)), initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("d1, d2", [(2, 5), (5, 2), (4, 4), (9, 3), (3, 9)])
+    def test_matches_scipy_on_random_pairs(self, d1, d2):
+        from scipy.linalg import subspace_angles
+
+        rng = np.random.default_rng(d1 * 10 + d2)
+        for _ in range(10):
+            s1, s2 = linalg.random_subspace(rng, 9, d1), linalg.random_subspace(rng, 9, d2)
+            pa = linalg.principal_angles(s1, s2)
+            assert pa.angles.shape == (min(d1, d2),)
+            assert np.all(np.diff(pa.angles) >= 0.0)
+            assert np.allclose(pa.angles, np.sort(subspace_angles(s1.basis, s2.basis)),
+                               rtol=0, atol=1e-12)
+            assert np.allclose(pa.cos**2 + pa.sin**2, 1.0, rtol=0, atol=1e-14)
+            self.check_vectors(s1, s2, pa)
+
+    def test_tiny_angles_come_from_the_sine(self):
+        # arccos of a cosine that rounds to 1 cannot see angles below ~1e-8;
+        # scipy's routine takes every angle from its sine when all lie below
+        # 45 degrees, so it is an oracle here
+        from scipy.linalg import subspace_angles
+
+        angles = np.array([1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+        s1, s2 = tilted_pair(np.random.default_rng(4), 14, angles)
+        pa = linalg.principal_angles(s1, s2)
+        assert np.allclose(pa.angles, angles, rtol=1e-6, atol=0)
+        assert np.allclose(pa.angles, np.sort(subspace_angles(s1.basis, s2.basis)), rtol=1e-6, atol=0)
+        assert abs(np.arccos(pa.cos[0]) - 1e-9) > 0.5e-9  # what the cosine alone gives
+        self.check_vectors(s1, s2, pa)
+
+    def test_tiny_and_wide_angles_together(self):
+        angles = np.array([1e-9, 1e-6, 1e-4, 0.3, 1.2, np.pi / 2])
+        s1, s2 = tilted_pair(np.random.default_rng(5), 12, angles)
+        pa = linalg.principal_angles(s2, s1)
+        assert np.allclose(pa.angles, angles, rtol=1e-6, atol=0)
+        self.check_vectors(s2, s1, pa)
+
+    def test_cluster_straddling_45_degrees_keeps_the_vectors_apart(self):
+        # for some rotations the cosines and sines of two exact 45-degree
+        # angles round to both sides of sqrt(1/2)
+        e = np.eye(5)
+        for seed in range(8):
+            q = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, 5)))[0]
+            s1 = linalg.Subspace(5, q[:, :2])
+            s2 = linalg.orthonormalize([q @ (e[0] + e[2]), q @ (e[1] + e[3])])
+            pa = linalg.principal_angles(s1, s2)
+            assert np.allclose(pa.angles, np.pi / 4, rtol=0, atol=1e-14)
+            self.check_vectors(s1, s2, pa)
+
+    def test_shared_subspace_gives_zero_angles(self):
+        rng = np.random.default_rng(6)
+        q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+        s1 = linalg.Subspace(10, q[:, :5])
+        s2 = linalg.orthonormalize(np.column_stack([q[:, :3], rng.standard_normal((10, 3))]).T)
+        pa = linalg.principal_angles(s1, s2)
+        assert np.max(pa.sin[:3]) <= 1e-14 and pa.sin[3] > 1e-3
+        shared = linalg.Subspace(10, pa.vectors1[:, :3])
+        assert linalg.subspaces_equal(shared, linalg.Subspace(10, q[:, :3]), tol=1e-14)
+
+    def test_zero_and_full_subspaces(self):
+        s = linalg.random_subspace(np.random.default_rng(7), 6, 4)
+        for other in (linalg.Subspace.zero(6), s):
+            pa = linalg.principal_angles(linalg.Subspace.zero(6), other)
+            assert pa.angles.shape == (0,) and pa.vectors1.shape == pa.vectors2.shape == (6, 0)
+        pa = linalg.principal_angles(linalg.Subspace.full(6), s)
+        assert pa.angles.shape == (4,)
+        assert np.max(pa.sin) <= 1e-15 and np.min(pa.cos) == pytest.approx(1.0, abs=1e-15)
+        self.check_vectors(linalg.Subspace.full(6), s, pa)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="different ambient"):
+            linalg.principal_angles(line(1.0, 0.0), line(1.0, 0.0, 0.0))
+
+
+class TestContains:
+    def test_verdict_does_not_depend_on_the_basis(self):
+        # span{e1 + t e3, e2} leaves span{e1, e2} by the sine t' = t/sqrt(1 + t^2);
+        # the 45-degree basis has column residuals of only t'/sqrt(2)
+        t = 1e-3
+        a = np.array([1.0, 0.0, t]) / np.hypot(1.0, t)
+        e2 = np.eye(3)[:, 1]
+        outer = linalg.Subspace(3, np.eye(3)[:, :2])
+        tol = 0.85 * t / np.hypot(1.0, t)
+        bases = [np.column_stack([a, e2]), np.column_stack([a + e2, a - e2]) / np.sqrt(2.0)]
+        assert [linalg.contains(outer, linalg.Subspace(3, b), tol=tol) for b in bases] == [False, False]
+        assert [linalg.contains(outer, linalg.Subspace(3, b), tol=1.01 * t) for b in bases] == [True, True]
+
+    def test_larger_subspace_is_never_contained(self):
+        plane = linalg.Subspace(3, np.eye(3)[:, :2])
+        assert linalg.contains(plane, line(1.0, 1.0, 0.0))
+        assert not linalg.contains(line(1.0, 1.0, 0.0), plane, tol=1.0)
+        assert not linalg.subspaces_equal(line(1.0, 0.0, 0.0), plane, tol=1.0)
+
+
 class TestIntersect:
     def test_distinct_lines_meet_at_origin(self):
         assert linalg.intersect([line(1.0, 1.0), line(1.0, 0.0)]).dim == 0
@@ -212,29 +320,6 @@ class TestOperatorNorm:
 
     def test_diagonal(self):
         assert linalg.operator_norm(np.diag([1.0, 2.0, 3.0])) == pytest.approx(3.0, rel=1e-10)
-
-
-class TestWordMatrix:
-    def test_two_letter_word_on_two_lines(self):
-        p1 = linalg.projection_matrix(line(1.0, 1.0))
-        p2 = linalg.projection_matrix(line(1.0, 0.0))
-        w = Word.from_letters(2, [2, 1])  # written a2 a1: a1 acts first
-        out = linalg.word_matrix(w, [p1, p2]) @ np.array([1.0, 0.0])
-        assert np.allclose(out, [0.5, 0.0])
-
-    def test_empty_word_is_identity(self):
-        p1 = linalg.projection_matrix(line(1.0, 1.0))
-        assert np.allclose(linalg.word_matrix(Word.empty(1), [p1]), np.eye(2))
-
-    def test_repeated_projection_letter_is_idempotent(self):
-        p1 = linalg.projection_matrix(line(1.0, 1.0))
-        w = Word.from_letters(1, [1, 1])
-        assert np.allclose(linalg.word_matrix(w, [p1]), p1, atol=1e-12)
-
-    def test_letter_out_of_range_rejected(self):
-        p1 = linalg.projection_matrix(line(1.0, 1.0))
-        with pytest.raises(ValueError, match="letters"):
-            linalg.word_matrix(Word.from_letters(2, [2]), [p1])
 
 
 class TestProjectionLaws:

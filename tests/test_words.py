@@ -5,6 +5,10 @@ from altproj import linalg
 from altproj.words import Word
 
 
+def line_projection(*coords):
+    return linalg.projection_matrix(linalg.orthonormalize([np.array(coords, dtype=float)]))
+
+
 def random_projections(rng, n, count):
     out = []
     for _ in range(count):
@@ -84,27 +88,41 @@ class TestEvaluation:
                 naive = naive @ ops[letter - 1]
             assert np.allclose(w.matrix(ops), naive, atol=1e-12)
 
-    def test_apply_matches_matrix_times_vector(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
-            ops = random_projections(rng, n, 3)
-            letters = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 12)))]
-            w = Word.from_letters(3, letters)
-            x = rng.standard_normal(n)
-            assert np.allclose(w.apply(ops, x), w.matrix(ops) @ x, atol=1e-10)
-
     def test_nested_groups_match_flat_expansion(self):
         rng = np.random.default_rng(8)
         ops = random_projections(rng, 5, 3)
         inner = Word.from_letters(3, [2, 3, 2])
         w = Word.group(inner, 6) * Word.from_letters(3, [1, 2])
         flat = Word.from_letters(3, w.letters())
-        x = rng.standard_normal(5)
-        assert np.allclose(w.apply(ops, x), flat.apply(ops, x), atol=1e-10)
         assert np.allclose(w.matrix(ops), flat.matrix(ops), atol=1e-10)
 
     def test_exponents_use_true_matrix_powers(self):
         half = 0.5 * np.eye(2)  # not idempotent
         w = Word(1, ((1, 5),))
         assert np.allclose(w.matrix([half]), (0.5**5) * np.eye(2))
+
+
+class TestWordMatrix:
+    def test_two_letter_word_on_two_lines(self):
+        p1, p2 = line_projection(1.0, 1.0), line_projection(1.0, 0.0)
+        w = Word.from_letters(2, [2, 1])  # written a2 a1: a1 acts first
+        assert np.allclose(w.matrix([p1, p2]) @ np.array([1.0, 0.0]), [0.5, 0.0])
+
+    def test_empty_word_is_identity(self):
+        assert np.allclose(Word.empty(1).matrix([line_projection(1.0, 1.0)]), np.eye(2))
+
+    def test_repeated_projection_letter_is_idempotent(self):
+        p1 = line_projection(1.0, 1.0)
+        assert np.allclose(Word.from_letters(1, [1, 1]).matrix([p1]), p1, atol=1e-12)
+
+    def test_letter_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="letters"):
+            Word.from_letters(2, [2]).matrix([line_projection(1.0, 1.0)])
+
+    def test_matrices_must_be_square_and_of_one_size(self):
+        w = Word.from_letters(2, [1, 2])
+        with pytest.raises(ValueError, match="at least one"):
+            w.matrix([])
+        for ops in ([np.eye(2), np.eye(3)], [np.ones((2, 3)), np.ones((2, 3))], [np.ones(2)] * 2):
+            with pytest.raises(ValueError, match="square"):
+                w.matrix(ops)
