@@ -95,10 +95,7 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
         if s.ambient_dim != n:
             raise ValueError("subspaces live in different ambient dimensions")
     x = linalg.as_vector(x0, dim=n).astype(float, copy=True)
-    with np.errstate(over="ignore"):
-        x0_norm = float(np.linalg.norm(x))
-    if not np.isfinite(x0_norm):
-        raise ValueError("x0 is too large: the sum of squares in its norm overflows float64")
+    x0_norm = linalg.start_norm(x)
     if schedule.J != len(ss):
         raise ValueError(f"schedule alphabet 1..{schedule.J} does not match {len(ss)} subspaces")
     cfg = cfg or RunConfig()
@@ -179,6 +176,7 @@ def kakutani_gaps(subspaces, x0, n_max, tol=linalg.DEFAULT_TOL):
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     x = linalg.as_vector(x0, dim=ss[0].ambient_dim).astype(float, copy=True)
+    linalg.start_norm(x)
     bases = [s.basis for s in ss]
 
     def cycle(v):

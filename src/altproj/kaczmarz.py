@@ -16,14 +16,18 @@ iteration whose fixed line is the equal-thirds configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 
-#: sweeps with no residual improvement before a system is flagged suspect
+#: sweeps with no residual improvement before the least-squares check runs
 _STALL_SWEEPS = 50
+
+#: rows per Gauss-Seidel block; bounds the Gram matrix of a tall system to
+#: _BLOCK_ROWS^2 entries while a system of up to this many rows is one block
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,31 +53,56 @@ class Hyperplane:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Rows of a linear system, one hyperplane per equation."""
+    """A x = c held once as arrays, one hyperplane {z : <z, a_i> = c_i} per row.
 
-    rows: tuple
-    ambient_dim: int
+    Build it with ``from_arrays``.  Row i and c_i are stored divided by
+    2^e_i, where e_i = ``frexp(max_j |a_ij|)[1]``, so every stored row has its
+    largest entry in [1/2, 1).  Multiplying by a power of two is exact (only
+    entries below 2^-1022 of their row's largest round), leaves each
+    hyperplane unchanged, and keeps every row norm and every entry of A A^T
+    far from overflow.
+    """
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        if not rows:
-            raise ValueError("system needs at least one row")
-        for h in rows:
-            if h.ambient_dim != self.ambient_dim:
-                raise ValueError("row normal length does not match ambient dimension")
-        object.__setattr__(self, "rows", rows)
+    normals: np.ndarray
+    offsets: np.ndarray
+    exponents: np.ndarray
 
     @classmethod
     def from_arrays(cls, a, c):
         a = linalg.as_matrix(a)
         c = linalg.as_vector(c, dim=a.shape[0])
-        return cls(tuple(Hyperplane(a[i], c[i]) for i in range(a.shape[0])), a.shape[1])
+        if not a.shape[0]:
+            raise ValueError("system needs at least one row")
+        peak = np.max(np.abs(a), axis=1, initial=0.0)
+        zero = np.flatnonzero(peak == 0.0)
+        if zero.size:
+            raise ValueError(f"equation {zero[0] + 1} has an all-zero normal")
+        e = np.frexp(peak)[1]
+        with np.errstate(over="ignore"):
+            offsets = np.ldexp(c, -e)
+        big = np.flatnonzero(~np.isfinite(offsets))
+        if big.size:
+            i = big[0]
+            raise ValueError(f"equation {i + 1}: right-hand side {c[i]!r} overflows float64 "
+                             f"once the row is scaled to its largest coefficient {peak[i]!r}")
+        normals = np.ldexp(a, -e[:, None])
+        for v in (normals, offsets, e):
+            v.flags.writeable = False
+        return cls(normals, offsets, e)
+
+    @property
+    def ambient_dim(self):
+        return self.normals.shape[1]
+
+    @property
+    def rows(self):
+        return tuple(Hyperplane(y, c) for y, c in zip(self.normals, self.offsets))
 
     def matrix(self):
-        return np.vstack([h.normal for h in self.rows])
+        return np.ldexp(self.normals, self.exponents[:, None])
 
     def rhs(self):
-        return np.array([h.offset for h in self.rows])
+        return np.ldexp(self.offsets, self.exponents)
 
 
 @dataclass(eq=False)
@@ -94,59 +123,81 @@ def hyperplane_project(h, z):
     return z - y * ((y @ z - h.offset) / (y @ y))
 
 
+def _violation(r, norms):
+    return float(np.max(np.abs(r) / norms))
+
+
 def max_violation(system, x):
     """Largest normalized row violation max_i |<x,y_i> - c_i| / ||y_i||."""
-    a = system.matrix()
-    c = system.rhs()
-    norms = np.linalg.norm(a, axis=1)
-    return float(np.max(np.abs(a @ x - c) / norms))
+    a = system.normals
+    return _violation(system.offsets - a @ x, np.linalg.norm(a, axis=1))
 
 
 def solve(system, x0, max_sweeps, tol=1e-10):
     """Cyclic Kaczmarz sweeps until the worst row violation drops to ``tol``.
 
-    Rows are visited in fixed order 1..J each sweep.  A residual history
-    entry is recorded after every sweep.  If the residual fails to decrease
-    over 50 consecutive sweeps the result is flagged suspected-inconsistent
-    rather than raising: the iteration is still Fejer-monotone with respect
-    to any solution, so a stall is evidence no solution exists.
+    Rows are visited in fixed order 1..J each sweep.  The J projections of a
+    sweep are one Gauss-Seidel step on A A^T (Bjorck & Elfving 1979): with
+    D + L = tril(A A^T) they move x to x + A^T d, (D + L) d = c - A x.  So a
+    sweep is ``r = c - A x; x += W^T r`` with ``W = triu(A A^T)^{-1} A``
+    formed once per solve, and the residual after a sweep gives its violation
+    max_i |r_i| / ||y_i|| without another pass over the rows.  Systems of
+    more than 256 rows are swept in consecutive blocks of 256, each one such
+    step, which keeps the Gram matrices small.
+
+    A residual history entry is recorded after every sweep.  If the violation
+    fails to decrease over 50 consecutive sweeps, the least-squares solution
+    of A x = c is computed once.  A consistent system is solved exactly by
+    it, so when it violates some row by more than ``tol`` the system is
+    flagged suspected-inconsistent and the sweeps stop; otherwise they go on
+    until convergence or ``max_sweeps``.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    a, c = system.normals, system.offsets
     x = linalg.as_vector(x0, dim=system.ambient_dim).astype(float, copy=True)
-    normals = [h.normal for h in system.rows]
-    offsets = [h.offset for h in system.rows]
-    sq = [float(y @ y) for y in normals]
+    linalg.start_norm(x)
+    norms = np.linalg.norm(a, axis=1)
+    r = c - a @ x
+    violation = _violation(r, norms)
+    if violation <= tol:
+        return KaczmarzResult(x=x, residual_history=[violation], sweeps=0, converged=True)
+    blocks = [slice(s, s + _BLOCK_ROWS) for s in range(0, a.shape[0], _BLOCK_ROWS)]
+    # upper-triangular with a positive diagonal: LU never pivots, so this is
+    # back substitution
+    weights = [np.linalg.solve(np.triu(a[b] @ a[b].T), a[b]) for b in blocks]
 
     history = []
     best = np.inf
     stall = 0
     converged = False
     suspect = False
-    sweeps = 0
-    if max_violation(system, x) <= tol:
-        return KaczmarzResult(x=x, residual_history=[max_violation(system, x)],
-                              sweeps=0, converged=True)
-    for sweep in range(1, max_sweeps + 1):
-        for y, c, s in zip(normals, offsets, sq):
-            x -= y * ((y @ x - c) / s)
-        r = max_violation(system, x)
-        history.append(r)
-        sweeps = sweep
-        if r <= tol:
+    solvable = False  # set once the least-squares check has found a solution
+    for _ in range(max_sweeps):
+        # the first block starts from the residual the last sweep ended with
+        x += weights[0].T @ r[blocks[0]]
+        for b, w in zip(blocks[1:], weights[1:]):
+            x += w.T @ (c[b] - a[b] @ x)
+        r = c - a @ x
+        violation = _violation(r, norms)
+        history.append(violation)
+        if violation <= tol:
             converged = True
             break
-        if r < best:
-            best = r
+        if violation < best:
+            best = violation
             stall = 0
-        else:
+        elif not solvable:
             stall += 1
             if stall >= _STALL_SWEEPS:
-                suspect = True
-                break
-    return KaczmarzResult(x=x, residual_history=history, sweeps=sweeps,
+                x_ls = np.linalg.lstsq(a, c, rcond=None)[0]
+                solvable = _violation(c - a @ x_ls, norms) <= tol
+                if not solvable:
+                    suspect = True
+                    break
+    return KaczmarzResult(x=x, residual_history=history, sweeps=len(history),
                           converged=converged, suspected_inconsistent=suspect)
 
 
@@ -163,21 +214,20 @@ def load_system(path, dense=False):
     if not lines:
         raise ValueError(f"{path}: empty system file")
     if dense:
-        rows = []
-        for no, ln in lines:
+        rows = None
+        for i, (no, ln) in enumerate(lines):
             try:
                 vals = [float(t) for t in ln.split(",")]
             except ValueError as exc:
                 raise ValueError(f"{path}:{no}: malformed dense row: {exc}") from None
             if len(vals) < 2:
                 raise ValueError(f"{path}:{no}: dense row needs coefficients and a right-hand side")
-            rows.append(vals)
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError(f"{path}: dense rows have unequal lengths")
-        a = np.array([r[:-1] for r in rows])
-        c = np.array([r[-1] for r in rows])
-        return LinearSystem.from_arrays(a, c)
+            if rows is None:
+                rows = np.empty((len(lines), len(vals)))
+            elif len(vals) != rows.shape[1]:
+                raise ValueError(f"{path}: dense rows have unequal lengths")
+            rows[i] = vals
+        return LinearSystem.from_arrays(rows[:, :-1], rows[:, -1])
     no0, header = lines[0]
     try:
         n, j = (int(t) for t in header.split())
@@ -185,22 +235,21 @@ def load_system(path, dense=False):
         raise ValueError(f"{path}:{no0}: header must be 'n J'") from None
     if len(lines) - 1 != j:
         raise ValueError(f"{path}: header promises {j} rows, found {len(lines) - 1}")
-    hyperplanes = []
-    for no, ln in lines[1:]:
+    a = np.zeros((j, n))
+    c = np.empty(j)
+    for i, (no, ln) in enumerate(lines[1:]):
         toks = ln.split()
         try:
-            c = float(toks[0])
+            c[i] = float(toks[0])
             k = int(toks[1])
             pairs = [(int(toks[2 + 2 * t]), float(toks[3 + 2 * t])) for t in range(k)]
         except (ValueError, IndexError):
             raise ValueError(f"{path}:{no}: malformed sparse row") from None
-        y = np.zeros(n)
         for idx, val in pairs:
             if not 0 <= idx < n:
                 raise ValueError(f"{path}:{no}: column index {idx} outside 0..{n - 1}")
-            y[idx] = val
-        hyperplanes.append(Hyperplane(y, c))
-    return LinearSystem(tuple(hyperplanes), n)
+            a[i, idx] = val
+    return LinearSystem.from_arrays(a, c)
 
 
 #: one fold-and-slide step on each end of the string

@@ -47,6 +47,15 @@ def as_matrix(a):
     return m
 
 
+def start_norm(x0):
+    """``||x0||``, refusing a starting vector whose sum of squares overflows float64."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x0))
+    if not np.isfinite(norm):
+        raise ValueError("x0 is too large: the sum of squares in its norm overflows float64")
+    return norm
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of R^n held as an ``n x d`` matrix with orthonormal columns.

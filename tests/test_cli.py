@@ -135,6 +135,36 @@ class TestKaczmarz:
         assert code == 2
         assert json.loads(stdout)["suspected_inconsistent"] is True
 
+    @pytest.mark.parametrize("big", ["1e200", "1e308"])
+    def test_huge_dense_row_solves_to_the_true_point(self, tmp_path, capsys, big):
+        # big (x1 + x2) = 1, x2 = 2: the solution is (1/big - 2, 2), not (0, 2)
+        system = write(tmp_path / "big.csv", f"{big},{big},1\n0,1,2\n")
+        out = tmp_path / "x.txt"
+        code, stdout, _ = run_main(capsys, [
+            "kaczmarz", system, "--dense", "--min-norm", "--out", str(out)])
+        assert code == 0
+        assert json.loads(stdout)["converged"] is True
+        x = [float(v) for v in out.read_text().split()]
+        assert np.allclose(x, [-2.0, 2.0], rtol=0, atol=1e-9)
+
+    def test_rhs_overflowing_its_row_exits_one(self, tmp_path, capsys):
+        system = write(tmp_path / "sys.csv", "1,0,1\n1e-300,0,1e300\n")
+        code, stdout, stderr = run_main(capsys, [
+            "kaczmarz", system, "--dense", "--min-norm", "--out", str(tmp_path / "x.txt")])
+        assert code == 1 and stdout == ""
+        assert "equation 2: right-hand side" in stderr
+
+    def test_run_leaves_scipy_unloaded(self, tmp_path):
+        # inconsistent, so the sweeps and the least-squares check both run
+        system = write(tmp_path / "sys.txt", "2 2\n0 1 0 1\n1 1 0 1\n")
+        script = ("import sys, altproj.cli; "
+                  f"code = altproj.cli.main(['kaczmarz', {system!r}, '--min-norm', "
+                  f"'--out', {str(tmp_path / 'x.txt')!r}]); "
+                  "print(code, 'scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "2 False"
+
     def test_missing_start_exits_one(self, tmp_path, capsys):
         system = write(tmp_path / "sys.txt", "2 1\n2 1 0 1\n")
         code, _, stderr = run_main(capsys, ["kaczmarz", system, "--out", str(tmp_path / "x")])

@@ -130,6 +130,11 @@ class TestKakutaniGaps:
         assert gaps[0] > 0.0
         assert gaps[1:] == pytest.approx([0.0] * 3, abs=1e-13)
 
+    def test_start_whose_norm_overflows_is_rejected(self):
+        # every gap would be inf: ||x0 - T x0|| squares entries near 1e200
+        with pytest.raises(ValueError, match="x0 is too large"):
+            iteration.kakutani_gaps(two_lines(), np.array([1e200, 0.0]), 3)
+
 
 class TestSakaiConstant:
     def test_requires_stored_iterates(self):

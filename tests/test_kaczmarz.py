@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altproj import kaczmarz
 from altproj.kaczmarz import Hyperplane, LinearSystem
@@ -119,6 +123,131 @@ class TestSolve:
                                 max_sweeps=500, tol=1e-12)
         assert result.suspected_inconsistent
         assert not result.converged
+
+
+def reference_solve(a, c, x0, max_sweeps, tol):
+    """Cyclic Kaczmarz one row at a time, as ``solve`` computed it before the
+    Gauss-Seidel form: (x, residual history, sweeps).  Its 50-sweep stall
+    rule is left out, since no caller here runs more than 50 sweeps."""
+    norms = np.linalg.norm(a, axis=1)
+
+    def violation(x):
+        return float(np.max(np.abs(a @ x - c) / norms))
+
+    x = np.array(x0, dtype=float)
+    if violation(x) <= tol:
+        return x, [violation(x)], 0
+    history = []
+    for _ in range(max_sweeps):
+        for y, ci in zip(a, c):
+            x -= y * ((y @ x - ci) / (y @ y))
+        history.append(violation(x))
+        if history[-1] <= tol:
+            break
+    return x, history, len(history)
+
+
+@st.composite
+def systems(draw):
+    """Dense, sparse, duplicate and dependent rows, as many as 12 in R^1..R^8
+    (so tall and rank-deficient systems occur), each row and its right-hand
+    side graded by 10^k, |k| <= 8; consistent or not."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((draw(st.integers(1, n)), n))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["dense", "sparse", "duplicate", "combination"]))
+        if kind == "duplicate" and rows:
+            v = rows[draw(st.integers(0, len(rows) - 1))].copy()
+        elif kind == "combination":
+            v = rng.standard_normal(base.shape[0]) @ base
+        elif kind == "sparse":
+            v = rng.standard_normal(n) * (rng.random(n) < 0.4)
+            v[rng.integers(n)] = 1.0
+        else:
+            v = rng.standard_normal(n)
+        rows.append(v)
+    a = np.array(rows)
+    c = a @ rng.standard_normal(n) if draw(st.booleans()) else rng.standard_normal(len(rows))
+    grade = 10.0 ** np.array([draw(st.integers(-8, 8)) for _ in rows])
+    x0 = rng.standard_normal(n) if draw(st.booleans()) else np.zeros(n)
+    return a * grade[:, None], c * grade, x0
+
+
+class TestGaussSeidelSweep:
+    @settings(max_examples=400, deadline=None)
+    @given(systems(), st.integers(1, 40), st.sampled_from([1e-6, 1e-8, 1e-10]),
+           st.sampled_from([1, 3, kaczmarz._BLOCK_ROWS]))
+    def test_matches_the_row_by_row_sweep(self, abx, max_sweeps, tol, block_rows):
+        a, c, x0 = abx
+        x_ref, history_ref, sweeps_ref = reference_solve(a, c, x0, max_sweeps, tol)
+        system = LinearSystem.from_arrays(a, c)
+        assert np.array_equal(system.matrix(), a) and np.array_equal(system.rhs(), c)
+        with mock.patch.object(kaczmarz, "_BLOCK_ROWS", block_rows):
+            result = kaczmarz.solve(system, x0, max_sweeps=max_sweeps, tol=tol)
+        assert result.sweeps == sweeps_ref
+        # both forms round relative to the largest distance in play: the start,
+        # the result, or a hyperplane's distance from the origin.  On an
+        # inconsistent system x can end far nearer the origin than that.
+        reach = max(np.linalg.norm(x_ref), np.linalg.norm(x0),
+                    np.max(np.abs(c) / np.linalg.norm(a, axis=1)))
+        assert np.linalg.norm(result.x - x_ref) <= 1e-13 * reach
+        assert np.max(np.abs(np.subtract(result.residual_history, history_ref))) <= 1e-13 * reach
+
+
+def stalls(history, sweeps=50):
+    """Whether the violation goes ``sweeps`` sweeps in a row without a new low."""
+    best, run = np.inf, 0
+    for v in history:
+        best, run = (v, 0) if v < best else (best, run + 1)
+        if run >= sweeps:
+            return True
+    return False
+
+
+class TestStallCertificate:
+    def test_consistent_ill_conditioned_systems_are_not_flagged(self):
+        # consistent 30x30 systems at cond 1e4: the max violation often goes
+        # 50 sweeps without a new low, which alone once flagged them
+        rng = np.random.default_rng(41)
+        tripped = 0
+        for _ in range(20):
+            u = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+            v = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+            a = (u * np.geomspace(1.0, 1e-4, 30)) @ v.T
+            system = LinearSystem.from_arrays(a, a @ rng.standard_normal(30))
+            result = kaczmarz.solve(system, np.zeros(30), max_sweeps=1000)
+            assert not result.suspected_inconsistent
+            assert result.sweeps == 1000
+            tripped += stalls(result.residual_history)
+        assert tripped >= 5
+
+
+class TestOverflowSafeRows:
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_huge_row_solves_to_the_true_point(self, big):
+        # big (x1 + x2) = 1, x2 = 2: the solution is (1/big - 2, 2)
+        system = LinearSystem.from_arrays(np.array([[big, big], [0.0, 1.0]]),
+                                          np.array([1.0, 2.0]))
+        result = kaczmarz.solve(system, np.zeros(2), max_sweeps=1000)
+        assert result.converged
+        assert np.allclose(result.x, [-2.0, 2.0], rtol=0, atol=1e-9)
+        assert kaczmarz.max_violation(system, np.array([-2.0, 2.0])) <= 1e-15
+
+    def test_rhs_too_large_for_its_row_is_refused(self):
+        with pytest.raises(ValueError, match="equation 2: right-hand side .* overflows"):
+            LinearSystem.from_arrays(np.array([[1.0, 0.0], [1e-300, 0.0]]),
+                                     np.array([1.0, 1e300]))
+
+    def test_all_zero_row_is_refused(self):
+        with pytest.raises(ValueError, match="equation 1 has an all-zero normal"):
+            LinearSystem.from_arrays(np.zeros((1, 2)), np.array([1.0]))
+
+    def test_start_whose_norm_overflows_is_refused(self):
+        system = LinearSystem.from_arrays(np.eye(2), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="x0 is too large"):
+            kaczmarz.solve(system, np.array([1.7e308, 1.7e308]), max_sweeps=5)
 
 
 class TestSystemFiles:
