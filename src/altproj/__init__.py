@@ -24,7 +24,7 @@ from .linalg import (
 from .schedules import Schedule, ScheduleExhausted, parse_schedule, quasiperiod_bound, quasiperiod_index
 from .iteration import RunConfig, Trace, kakutani_gaps, reference_limit, run, sakai_constant
 from .analysis import RateCurve, friedrichs_cosine, rate_curve
-from .kaczmarz import Hyperplane, KaczmarzResult, LinearSystem, hyperplane_project, solve, thirds_demo
+from .kaczmarz import KaczmarzResult, LinearSystem, solve, thirds_demo
 from .divergence import (
     BudgetExceeded,
     ExponentCapExceeded,

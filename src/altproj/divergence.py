@@ -290,9 +290,9 @@ def replace_projection(chain, x_space, e_space, eps, eta, a, s_cap=None):
     inequality is max((1 + beta_{j+1}^2)^-s(j), 1 - (1 + beta_j^2)^-s(j)) < eps,
     decided exactly; ||P_X - P_Y|| = max gamma/sqrt(1 + gamma^2) and, as every
     gamma_i > 0, X and Y meet only at the origin.  Y is a float64 view where
-    float64 resolves the tilts (and is then cross-checked densely), an
-    ``Unrepresentable`` placeholder elsewhere.  ``s_cap`` (None: no cap)
-    bounds the exponents.
+    float64 resolves the tilts (and is then cross-checked on its principal
+    angles to X), an ``Unrepresentable`` placeholder elsewhere.  ``s_cap``
+    (None: no cap) bounds the exponents.
     """
     if eps <= 0 or eta <= 0:
         raise ValueError("eps and eta must be positive")
@@ -315,15 +315,15 @@ def replace_projection(chain, x_space, e_space, eps, eta, a, s_cap=None):
     s_exp, betas = exact.tilt_ladder(k, eps, eta, a, s_cap)
     y_space = _tilt_view(chain, x_space, e_space, betas)
     if not isinstance(y_space, Unrepresentable):
-        # dense cross-check of the structure the exact ladder relies on
-        p_x = linalg.projection_matrix(x_space)
-        p_y = linalg.projection_matrix(y_space)
+        # cross-check the structure the exact ladder relies on: the largest
+        # principal sine is ||P_X - P_Y||, and a positive smallest one means
+        # X and Y meet only at the origin
         dims = [0] + [c.dim for c in nested]
         largest = max(b for b, lo, hi in zip(betas, dims, dims[1:]) if hi > lo)
-        gap = linalg.operator_norm(p_x - p_y)
-        if abs(gap - _tilt_gap(largest)) > 1e-12:
-            raise ArithmeticError(f"||P_X - P_Y|| = {gap:.17g} disagrees with the tilt structure")
-        if linalg.intersect([x_space, y_space], tol=1e-12).dim != 0:
+        sin = linalg.principal_angles(x_space, y_space).sin
+        if abs(sin[-1] - _tilt_gap(largest)) > 1e-12:
+            raise ArithmeticError(f"||P_X - P_Y|| = {sin[-1]:.17g} disagrees with the tilt structure")
+        if sin[0] <= 1e-12:
             raise ArithmeticError("tilted subspace unexpectedly intersects the original")
     return y_space, s_exp, betas
 

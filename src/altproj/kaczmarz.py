@@ -31,27 +31,6 @@ _BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
-class Hyperplane:
-    """The affine hyperplane {z : <z, normal> = offset}."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        v = linalg.as_vector(self.normal)
-        if not np.linalg.norm(v):
-            raise ValueError("hyperplane normal must be nonzero")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "normal", v)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @property
-    def ambient_dim(self):
-        return self.normal.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """A x = c held once as arrays, one hyperplane {z : <z, a_i> = c_i} per row.
 
@@ -94,10 +73,6 @@ class LinearSystem:
     def ambient_dim(self):
         return self.normals.shape[1]
 
-    @property
-    def rows(self):
-        return tuple(Hyperplane(y, c) for y, c in zip(self.normals, self.offsets))
-
     def matrix(self):
         return np.ldexp(self.normals, self.exponents[:, None])
 
@@ -114,13 +89,6 @@ class KaczmarzResult:
     sweeps: int
     converged: bool
     suspected_inconsistent: bool = False
-
-
-def hyperplane_project(h, z):
-    """Nearest point on the hyperplane: z - y (<z,y> - c) / ||y||^2."""
-    z = linalg.as_vector(z, dim=h.ambient_dim)
-    y = h.normal
-    return z - y * ((y @ z - h.offset) / (y @ y))
 
 
 def _violation(r, norms):

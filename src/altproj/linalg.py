@@ -263,18 +263,20 @@ def random_subspace(rng, n, d, tol=DEFAULT_TOL):
     """Seeded random ``d``-dimensional subspace of R^n.
 
     Draws an ``n x d`` standard-normal matrix from ``rng`` (numpy Generator,
-    PCG64 via ``numpy.random.default_rng(seed)``) and orthonormalizes its
-    columns.  Deterministic for a fixed seed.
+    PCG64 via ``numpy.random.default_rng(seed)``) and takes the Q of its
+    Householder QR, with column signs set so that diag(R) > 0: Gram-Schmidt's
+    basis up to rounding.  A draw with min |R_ii| <= ``tol`` * max |R_ii| is
+    refused as degenerate.  Deterministic for a fixed seed.
     """
     if not 0 <= d <= n:
         raise ValueError(f"cannot draw a {d}-dimensional subspace of R^{n}")
     if d == 0:
         return Subspace.zero(n)
-    g = rng.standard_normal((n, d))
-    s = orthonormalize(g.T, tol=tol, ambient_dim=n)
-    if s.dim != d:
+    q, r = np.linalg.qr(rng.standard_normal((n, d)))
+    diag = np.diagonal(r)
+    if np.min(np.abs(diag)) <= tol * np.max(np.abs(diag)):
         raise ValueError("degenerate random draw")  # probability zero
-    return s
+    return Subspace(n, q * np.sign(diag))
 
 
 def load_subspace(path, tol=DEFAULT_TOL):

@@ -1,8 +1,10 @@
 """Index schedules (j_n) driving the projection iteration.
 
-Supported kinds: a repeating periodic pattern, an explicit finite sequence,
-the capped ruler sequence 1,2,1,3,1,2,1,4,... over a finite alphabet, and a
-finite sequence packaged as a Word by the non-convergence construction.
+Three kinds: a repeating periodic pattern, the capped ruler sequence
+1,2,1,3,1,2,1,4,... over a finite alphabet, and a finite schedule read from
+a Word.  A finite index sequence, such as a ``file:`` schedule, is the word
+whose letters act in that order; the non-convergence construction supplies
+its words directly.
 
 Quasiperiodicity of an infinite schedule s over {1..J} is measured by
 I(s,i) = sup over consecutive occurrences of i (counting from position 0) of
@@ -12,7 +14,7 @@ the gap between them; I(s) is the worst case over the alphabet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import Word
 
@@ -25,18 +27,19 @@ class ScheduleExhausted(Exception):
 class Schedule:
     """An index sequence over the alphabet {1..J}.
 
-    Use the ``periodic`` / ``explicit`` / ``ruler`` / ``from_word``
-    constructors rather than building instances by hand.
+    ``periodic`` repeats ``pattern``, ``ruler`` emits the capped ruler
+    sequence, and ``constructed`` reads ``word`` in application order and
+    then is exhausted.  Use the ``periodic`` / ``ruler`` / ``from_word`` /
+    ``explicit`` constructors rather than building instances by hand.
     """
 
     kind: str
     J: int
     pattern: tuple = ()
-    sequence: tuple = ()
-    word: Word | None = field(default=None, compare=False)
+    word: Word | None = None
 
     def __post_init__(self):
-        if self.kind not in ("periodic", "explicit", "ruler", "constructed"):
+        if self.kind not in ("periodic", "ruler", "constructed"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.J < 1:
             raise ValueError("alphabet size J must be >= 1")
@@ -44,9 +47,11 @@ class Schedule:
             raise ValueError("periodic schedule needs a non-empty pattern")
         if self.kind == "ruler" and self.J < 2:
             raise ValueError("ruler schedule needs J >= 2")
-        for idx in self.pattern + self.sequence:
+        for idx in self.pattern:
             if not 1 <= idx <= self.J:
                 raise ValueError(f"index {idx} outside alphabet 1..{self.J}")
+        if self.word is not None and self.word.alphabet > self.J:
+            raise ValueError(f"word letters 1..{self.word.alphabet} outside alphabet 1..{self.J}")
 
     @classmethod
     def periodic(cls, pattern, J=None):
@@ -57,10 +62,16 @@ class Schedule:
 
     @classmethod
     def explicit(cls, sequence, J=None):
-        sequence = tuple(int(i) for i in sequence)
+        """Finite schedule applying ``sequence`` in the order given.
+
+        It is the word of those letters written back to front, since a
+        word's last letter acts first.
+        """
+        sequence = [int(i) for i in sequence]
         if not sequence:
             raise ValueError("explicit schedule needs a non-empty sequence")
-        return cls("explicit", int(J) if J is not None else max(sequence), sequence=sequence)
+        J = int(J) if J is not None else max(sequence)
+        return cls.from_word(Word.from_letters(J, reversed(sequence)), J)
 
     @classmethod
     def ruler(cls, J):
@@ -71,25 +82,12 @@ class Schedule:
         """Finite schedule reading a Word's letters in application order."""
         return cls("constructed", int(J) if J is not None else word.alphabet, word=word)
 
-    @property
-    def finite_length(self):
-        """Length for finite schedules, None for unbounded ones."""
-        if self.kind == "explicit":
-            return len(self.sequence)
-        if self.kind == "constructed":
-            return self.word.length
-        return None
-
     def emit(self, n):
         """The index j_n for a 1-based step number ``n``."""
         if n < 1:
             raise ValueError("step numbers are 1-based")
         if self.kind == "periodic":
             return self.pattern[(n - 1) % len(self.pattern)]
-        if self.kind == "explicit":
-            if n > len(self.sequence):
-                raise ScheduleExhausted(f"explicit schedule of length {len(self.sequence)} has no step {n}")
-            return self.sequence[n - 1]
         if self.kind == "constructed":
             if n > self.word.length:
                 raise ScheduleExhausted(f"constructed schedule of length {self.word.length} has no step {n}")

@@ -15,7 +15,8 @@ the tree; flat expansions are only materialized on demand for small words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +34,13 @@ class Word:
 
     ``factors`` lists (item, exponent) pairs in written order (leftmost
     first); an item is a letter (int) or a nested Word.  Exponents are >= 1.
+    ``_ends`` holds the cumulative letter counts of the factor blocks in
+    application order (last factor first), from 0 up to the length.
     """
 
     alphabet: int
     factors: tuple
+    _ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alphabet < 1:
@@ -53,6 +57,10 @@ class Word:
             else:
                 raise ValueError(f"factor must be a letter or Word, got {type(item)}")
         object.__setattr__(self, "factors", tuple((item, int(exp)) for item, exp in self.factors))
+        ends = [0]
+        for item, exp in reversed(self.factors):
+            ends.append(ends[-1] + exp * (item.length if isinstance(item, Word) else 1))
+        object.__setattr__(self, "_ends", tuple(ends))
 
     def __repr__(self):
         # int-to-str is capped (4300 digits by default): huge exponents show a digit count
@@ -97,10 +105,7 @@ class Word:
     @property
     def length(self):
         """Total number of letters |w| (a Python int, may be huge)."""
-        total = 0
-        for item, exp in self.factors:
-            total += exp * (item.length if isinstance(item, Word) else 1)
-        return total
+        return self._ends[-1]
 
     def letter_count(self, letter):
         """Number of occurrences |w_letter| of ``letter``."""
@@ -115,24 +120,20 @@ class Word:
     def letter_at(self, position):
         """Letter at 1-based ``position`` counted from the end of the word.
 
-        Position 1 is the letter that acts first on a vector.  O(tree depth)
-        per query, so huge words can still drive a schedule lazily.
+        Position 1 is the letter that acts first on a vector.  Each tree
+        level bisects its block ends, so a query costs O(depth * log(factors))
+        and huge words can still drive a schedule lazily.
         """
         if not 1 <= position <= self.length:
             raise IndexError(f"position {position} outside word of length {self.length}")
         w, pos = self, position
         while True:
-            for item, exp in reversed(w.factors):
-                unit = item.length if isinstance(item, Word) else 1
-                block = unit * exp
-                if pos > block:
-                    pos -= block
-                    continue
-                if not isinstance(item, Word):
-                    return item
-                pos = (pos - 1) % unit + 1
-                w = item
-                break
+            i = bisect_left(w._ends, pos)  # w._ends[i - 1] < pos <= w._ends[i]
+            item = w.factors[-i][0]
+            if not isinstance(item, Word):
+                return item
+            pos = (pos - w._ends[i - 1] - 1) % item.length + 1
+            w = item
 
     def letters(self, limit=10**6):
         """Flat letter sequence in written order; refuses absurd expansions."""

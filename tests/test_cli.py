@@ -42,6 +42,27 @@ class TestRun:
         assert lines[0] == "n,j_n,norm,increment,residual"
         assert len(lines) == report["steps_executed"] + 1
 
+    def test_file_schedule_traces_like_its_periodic_pattern(self, tmp_path, capsys):
+        # three nearly parallel lines: the iterate shrinks too slowly to converge
+        spaces = [write(tmp_path / "m1.csv", "1,0,0\n"),
+                  write(tmp_path / "m2.csv", "1,0.01,0\n"),
+                  write(tmp_path / "m3.csv", "1,0,0.01\n")]
+        path = write(tmp_path / "seq.txt", ",".join(["1,2,3"] * 400) + "\n")
+        reports, traces = [], []
+        for spec in (f"file:{path}", "periodic:1,2,3"):
+            out = tmp_path / f"{spec[:4]}.csv"
+            code, stdout, _ = run_main(capsys, [
+                "--max-steps", "1200", "run", "--spaces", *spaces, "--schedule", spec,
+                "--x0", "1,2,3", "--out", str(out)])
+            assert code == 2
+            report = json.loads(stdout)
+            del report["inputs"], report["outputs"]  # they name the spec and the trace path
+            reports.append(report)
+            traces.append(out.read_bytes())
+        assert reports[0]["steps_executed"] == 1200
+        assert reports[0] == reports[1]
+        assert traces[0] == traces[1]
+
     def test_dimension_mismatch_exits_one(self, tmp_path, capsys):
         m1 = write(tmp_path / "a.csv", "1,0\n")
         m2 = write(tmp_path / "b.csv", "1,0,0\n")

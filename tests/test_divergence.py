@@ -388,7 +388,7 @@ class TestAssemble:
     def test_checkpoints_accumulate_word_lengths(self, construction):
         lengths = [w.length for w in construction.words]
         assert construction.checkpoints == [lengths[0], lengths[0] + lengths[1]]
-        assert construction.schedule.finite_length == sum(lengths)
+        assert construction.schedule.word.length == sum(lengths)
 
     def test_checkpoint_states_track_targets(self, construction):
         for state, target, budget in zip(construction.checkpoint_states,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altproj import kaczmarz
-from altproj.kaczmarz import Hyperplane, LinearSystem
+from altproj.kaczmarz import LinearSystem
 
 
 def random_sparse_system(rng, rows, cols, density=0.2):
@@ -22,20 +22,23 @@ def random_sparse_system(rng, rows, cols, density=0.2):
     return LinearSystem.from_arrays(a, a @ x_true), x_true
 
 
+def project_onto_row(y, c, z):
+    """One sweep over the one-row system <x, y> = c: the projection of z onto it."""
+    system = LinearSystem.from_arrays([y], [c])
+    return kaczmarz.solve(system, z, max_sweeps=1, tol=np.finfo(float).tiny).x
+
+
 class TestHyperplaneProject:
     def test_axis_plane(self):
-        h = Hyperplane(np.array([1.0, 0.0]), 2.0)
-        assert np.allclose(kaczmarz.hyperplane_project(h, np.array([0.0, 0.0])), [2.0, 0.0])
+        assert np.allclose(project_onto_row([1.0, 0.0], 2.0, np.array([0.0, 0.0])), [2.0, 0.0])
 
     def test_point_already_on_plane_is_fixed(self):
-        h = Hyperplane(np.array([1.0, 2.0]), 5.0)
         z = np.array([1.0, 2.0])
-        assert np.allclose(kaczmarz.hyperplane_project(h, z), z)
+        assert np.allclose(project_onto_row([1.0, 2.0], 5.0, z), z)
 
     def test_diagonal_plane_matches_minimizer(self):
-        h = Hyperplane(np.array([1.0, 1.0]), 0.0)
         z = np.array([1.0, 0.0])
-        projected = kaczmarz.hyperplane_project(h, z)
+        projected = project_onto_row([1.0, 1.0], 0.0, z)
         # oracle: minimize ||z - (t, -t)|| over t
         ts = np.linspace(-2, 2, 400_001)
         candidates = np.stack([ts, -ts], axis=1)
@@ -47,22 +50,22 @@ class TestHyperplaneProject:
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(1, 9))
-            h = Hyperplane(rng.standard_normal(n) + 0.1, float(rng.standard_normal()))
-            out = kaczmarz.hyperplane_project(h, rng.standard_normal(n))
-            assert abs(out @ h.normal - h.offset) <= 1e-10 * (1.0 + abs(h.offset))
+            y, c = rng.standard_normal(n) + 0.1, float(rng.standard_normal())
+            out = project_onto_row(y, c, rng.standard_normal(n))
+            assert abs(out @ y - c) <= 1e-10 * (1.0 + abs(c))
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(1, 9))
-            h = Hyperplane(rng.standard_normal(n) + 0.1, float(rng.standard_normal()))
-            once = kaczmarz.hyperplane_project(h, rng.standard_normal(n))
-            twice = kaczmarz.hyperplane_project(h, once)
+            y, c = rng.standard_normal(n) + 0.1, float(rng.standard_normal())
+            once = project_onto_row(y, c, rng.standard_normal(n))
+            twice = project_onto_row(y, c, once)
             assert np.linalg.norm(twice - once) <= 1e-12 * (1.0 + np.linalg.norm(once))
 
     def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            Hyperplane(np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="all-zero normal"):
+            LinearSystem.from_arrays([[0.0, 0.0]], [1.0])
 
 
 class TestSolve:
@@ -101,8 +104,7 @@ class TestSolve:
         x = rng.standard_normal(16)
         previous = np.linalg.norm(x - x_true)
         for _ in range(200):
-            for h in system.rows:
-                x = kaczmarz.hyperplane_project(h, x)
+            x = kaczmarz.solve(system, x, max_sweeps=1, tol=np.finfo(float).tiny).x
             current = np.linalg.norm(x - x_true)
             assert current <= previous + 1e-12
             previous = current

@@ -54,13 +54,23 @@ class TestEmit:
         w = Word.from_letters(3, [1, 2, 3])  # 3 acts first
         s = Schedule.from_word(w)
         assert [s.emit(n) for n in range(1, 4)] == [3, 2, 1]
-        assert s.finite_length == 3
+        assert s.word.length == 3
         with pytest.raises(ScheduleExhausted):
             s.emit(4)
 
     def test_indices_stay_in_alphabet(self):
         with pytest.raises(ValueError, match="outside alphabet"):
             Schedule.periodic([1, 4], J=3)
+
+    def test_word_letters_stay_in_alphabet(self):
+        with pytest.raises(ValueError, match="outside alphabet 1..2"):
+            Schedule.from_word(Word.from_letters(3, [3, 1]), J=2)
+
+    def test_explicit_is_the_word_read_back_to_front(self):
+        s = Schedule.explicit([2, 2, 1, 3, 3, 3, 1])
+        assert s.kind == "constructed" and s.J == 3
+        assert s.word == Word.from_letters(3, [1, 3, 3, 3, 1, 2, 2])
+        assert [s.emit(n) for n in range(1, 8)] == [2, 2, 1, 3, 3, 3, 1]
 
     def test_repr_of_a_schedule_holding_a_huge_word(self):
         s = Schedule.from_word(Word(2, ((1, 10**5000),)))
@@ -123,7 +133,9 @@ class TestParse:
         path = tmp_path / "seq.txt"
         path.write_text("1 2, 2\n1\n")
         s = parse_schedule(f"file:{path}")
-        assert s.kind == "explicit" and s.sequence == (1, 2, 2, 1)
+        assert [s.emit(n) for n in range(1, 5)] == [1, 2, 2, 1]
+        with pytest.raises(ScheduleExhausted):
+            s.emit(5)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):

@@ -17,6 +17,39 @@ def random_projections(rng, n, count):
     return out
 
 
+def shared_tower(depth):
+    """w_0 = a1 a2 and w_{k+1} = w_k^3 a1 w_k^2, every level referencing one w_k."""
+    w = Word.from_letters(2, [1, 2])
+    for _ in range(depth):
+        w = Word(2, ((w, 3), (1, 1), (w, 2)))
+    return w
+
+
+def tower_lengths(depth):
+    lengths = [2]
+    for _ in range(depth):
+        lengths.append(5 * lengths[-1] + 1)
+    return lengths
+
+
+def tower_letter(lengths, p):
+    """Letter at application position p of the top of ``shared_tower``, by arithmetic."""
+    for below in reversed(lengths[:-1]):
+        # applied first: w_k twice, then a1, then w_k three times
+        if p == 2 * below + 1:
+            return 1
+        p = (p - 1 - (p > 2 * below)) % below + 1
+    return (2, 1)[p - 1]
+
+
+def flat_letters(w):
+    """Written-order expansion by plain recursion over the factors."""
+    out = []
+    for item, exp in w.factors:
+        out.extend((flat_letters(item) if isinstance(item, Word) else [item]) * exp)
+    return out
+
+
 class TestStructure:
     def test_from_letters_compresses_runs(self):
         w = Word.from_letters(3, [1, 1, 2, 3, 3, 3])
@@ -56,6 +89,26 @@ class TestStructure:
         assert w.letter_at(1) == 1
         assert [w.letter_at(p) for p in (2, 3, 4)] == [2, 3, 2]
         assert w.letter_at(w.length) == 2
+
+    def test_letter_at_skips_empty_sub_words(self):
+        w = Word(2, ((2, 1), (Word.empty(2), 4), (1, 2)))
+        assert w.length == 3
+        assert [w.letter_at(p) for p in (1, 2, 3)] == [1, 1, 2]
+
+    def test_shared_sub_words_match_flat_expansion(self):
+        w = shared_tower(6)
+        flat = flat_letters(w)
+        assert w.length == len(flat) == tower_lengths(6)[-1]
+        assert [w.letter_at(p) for p in range(1, w.length + 1)] == flat[::-1]
+
+    def test_deep_shared_sub_words_answer(self):
+        # 30 levels each referencing the level below five times: length about
+        # 2 * 5^30, so only the cached block ends make these queries cheap
+        w = shared_tower(30)
+        lengths = tower_lengths(30)
+        assert w.length == lengths[-1]
+        for p in (1, 2, lengths[-2], 2 * lengths[-2] + 1, w.length // 3, w.length - 1, w.length):
+            assert w.letter_at(p) == tower_letter(lengths, p)
 
     def test_substitute_replaces_letters_with_words(self):
         w = Word.from_letters(3, [3, 1, 3])
