@@ -320,8 +320,24 @@ def build_parser():
     return parser
 
 
+#: a value that starts like a negative number, which argparse would read as an option
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_x0(argv):
+    """``--x0 -1,2`` as ``--x0=-1,2``, the one spelling argparse reads as a value."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--x0" and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"--x0={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = _attach_negative_x0(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, cycle
 
 from .words import Word
 
@@ -95,6 +96,21 @@ class Schedule:
         # ruler: position n carries (trailing binary zeros of n) + 1, capped at J
         v = (n & -n).bit_length()
         return min(v, self.J)
+
+    def indices(self):
+        """Iterator over j_1, j_2, ... in step order, ``emit(1)`` first.
+
+        It costs O(1) per step for ``periodic`` and ``ruler`` and O(depth)
+        for ``constructed``, against ``emit``'s bisect at every tree level.
+        A finite schedule's iterator ends where ``emit`` would raise
+        ``ScheduleExhausted``; an infinite one never ends.
+        """
+        if self.kind == "periodic":
+            return cycle(self.pattern)
+        if self.kind == "constructed":
+            return self.word.application_order()
+        J = self.J
+        return (min((n & -n).bit_length(), J) for n in count(1))
 
 
 def quasiperiod_index(s, i):

@@ -36,11 +36,16 @@ class Word:
     first); an item is a letter (int) or a nested Word.  Exponents are >= 1.
     ``_ends`` holds the cumulative letter counts of the factor blocks in
     application order (last factor first), from 0 up to the length.
+    ``_counts`` maps each letter to its number of occurrences, and ``_hash``
+    is the hash.  All three are built from the sub-words' cached values, so
+    a tower of shared sub-words costs one pass per distinct node.
     """
 
     alphabet: int
     factors: tuple
     _ends: tuple = field(init=False, repr=False, compare=False)
+    _counts: dict = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alphabet < 1:
@@ -58,9 +63,21 @@ class Word:
                 raise ValueError(f"factor must be a letter or Word, got {type(item)}")
         object.__setattr__(self, "factors", tuple((item, int(exp)) for item, exp in self.factors))
         ends = [0]
+        counts = {}
         for item, exp in reversed(self.factors):
-            ends.append(ends[-1] + exp * (item.length if isinstance(item, Word) else 1))
+            if isinstance(item, Word):
+                ends.append(ends[-1] + exp * item.length)
+                for letter, count in item._counts.items():
+                    counts[letter] = counts.get(letter, 0) + exp * count
+            else:
+                ends.append(ends[-1] + exp)
+                counts[int(item)] = counts.get(int(item), 0) + exp
         object.__setattr__(self, "_ends", tuple(ends))
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.factors)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         # int-to-str is capped (4300 digits by default): huge exponents show a digit count
@@ -109,13 +126,7 @@ class Word:
 
     def letter_count(self, letter):
         """Number of occurrences |w_letter| of ``letter``."""
-        total = 0
-        for item, exp in self.factors:
-            if isinstance(item, Word):
-                total += exp * item.letter_count(letter)
-            elif item == letter:
-                total += exp
-        return total
+        return self._counts.get(letter, 0)
 
     def letter_at(self, position):
         """Letter at 1-based ``position`` counted from the end of the word.
@@ -134,6 +145,32 @@ class Word:
                 return item
             pos = (pos - w._ends[i - 1] - 1) % item.length + 1
             w = item
+
+    def application_order(self):
+        """Yield the letters in the order they act on a vector, lazily.
+
+        The walk keeps one frame per tree level, so each letter costs
+        O(depth) and exponents of any size are stepped through, never
+        expanded.  ``letter_at(p)`` is the p-th letter yielded.
+        """
+        # frame: [factors, repeats left, factors still to walk in this repeat]
+        stack = [[self.factors, 1, len(self.factors)]]
+        while stack:
+            frame = stack[-1]
+            factors, repeats, i = frame
+            if i == 0:
+                if repeats > 1:
+                    frame[1], frame[2] = repeats - 1, len(factors)
+                else:
+                    stack.pop()
+                continue
+            frame[2] = i - 1
+            item, exp = factors[i - 1]
+            if not isinstance(item, Word):
+                for _ in range(exp):
+                    yield item
+            elif item.length:
+                stack.append([item.factors, exp, len(item.factors)])
 
     def letters(self, limit=10**6):
         """Flat letter sequence in written order; refuses absurd expansions."""

@@ -42,6 +42,19 @@ class TestRun:
         assert lines[0] == "n,j_n,norm,increment,residual"
         assert len(lines) == report["steps_executed"] + 1
 
+    def test_start_vector_may_begin_with_a_minus(self, tmp_path, two_lines, capsys):
+        m1, m2 = two_lines
+        reports = []
+        for argv in (["--x0", "-1,2"], ["--x0=-1,2"], ["--x0", "-.5,2"]):
+            code, stdout, stderr = run_main(capsys, [
+                "run", "--spaces", m1, m2, "--schedule", "periodic:1,2", *argv,
+                "--out", str(tmp_path / "t.csv")])
+            assert code == 0, stderr
+            reports.append(json.loads(stdout))
+        assert reports[0] == reports[1]
+        assert reports[0]["inputs"]["x0"] == [-1.0, 2.0]
+        assert reports[2]["inputs"]["x0"] == [-0.5, 2.0]
+
     def test_file_schedule_traces_like_its_periodic_pattern(self, tmp_path, capsys):
         # three nearly parallel lines: the iterate shrinks too slowly to converge
         spaces = [write(tmp_path / "m1.csv", "1,0,0\n"),
@@ -185,6 +198,16 @@ class TestKaczmarz:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[-1] == "2 False"
+
+    def test_start_vector_may_begin_with_a_minus(self, tmp_path, capsys):
+        system = write(tmp_path / "sys.txt", "2 2\n2 1 0 1\n3 1 1 1\n")
+        code, stdout, stderr = run_main(capsys, [
+            "kaczmarz", system, "--x0", "-1,-4", "--out", str(tmp_path / "x.txt")])
+        assert code == 0, stderr
+        report = json.loads(stdout)
+        assert report["inputs"]["x0"] == "-1,-4"
+        x = [float(v) for v in (tmp_path / "x.txt").read_text().split()]
+        assert np.allclose(x, [2.0, 3.0])
 
     def test_missing_start_exits_one(self, tmp_path, capsys):
         system = write(tmp_path / "sys.txt", "2 1\n2 1 0 1\n")

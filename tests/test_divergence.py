@@ -521,9 +521,9 @@ def dense_evaluation(construction, prec=192):
     return states, np.array(achieved)
 
 
-@pytest.fixture(scope="module")
-def stated():
-    return glue(2, [1 / 32, 1 / 64], seed=0)
+@pytest.fixture
+def stated(stated_build):
+    return stated_build.construction
 
 
 class TestStatedBudgets:

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import pytest
 
@@ -10,6 +11,7 @@ from altproj.schedules import (
     quasiperiod_index,
 )
 from altproj.words import Word
+from tests.test_words import shared_tower
 
 
 def gaps_oracle(values, i):
@@ -75,6 +77,29 @@ class TestEmit:
     def test_repr_of_a_schedule_holding_a_huge_word(self):
         s = Schedule.from_word(Word(2, ((1, 10**5000),)))
         assert "<5001-digit int>" in repr(s)
+
+
+class TestIndices:
+    def test_cursor_matches_emit_over_ten_thousand_steps(self):
+        nested = Word(3, ((Word.group(Word.from_letters(3, [1, 3, 1]), 3339), 586),
+                          (2, 1), (Word.from_letters(3, [3, 2]), 7)))
+        for schedule in (Schedule.periodic([1, 2, 1, 3]), Schedule.periodic([2]),
+                         Schedule.ruler(3), Schedule.ruler(6),
+                         Schedule.from_word(nested), Schedule.from_word(shared_tower(30))):
+            steps = list(islice(schedule.indices(), 10_000))
+            assert steps == [schedule.emit(n) for n in range(1, 10_001)]
+
+    def test_finite_cursor_ends_where_emit_is_exhausted(self):
+        s = Schedule.explicit([2, 2, 1, 3, 3, 3, 1])
+        assert list(s.indices()) == [s.emit(n) for n in range(1, 8)]
+        with pytest.raises(ScheduleExhausted):
+            s.emit(8)
+
+    def test_each_cursor_starts_at_step_one(self):
+        s = Schedule.ruler(4)
+        first = s.indices()
+        next(first)
+        assert list(islice(s.indices(), 4)) == [1, 2, 1, 3]
 
 
 class TestQuasiperiodicity:

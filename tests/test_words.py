@@ -1,7 +1,11 @@
+import time
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from altproj import linalg
+from altproj.schedules import Schedule
 from altproj.words import Word
 
 
@@ -30,6 +34,14 @@ def tower_lengths(depth):
     for _ in range(depth):
         lengths.append(5 * lengths[-1] + 1)
     return lengths
+
+
+def tower_counts(depth):
+    """(letter-1 count, letter-2 count) of ``shared_tower(depth)``, by arithmetic."""
+    ones, twos = 1, 1
+    for _ in range(depth):
+        ones, twos = 5 * ones + 1, 5 * twos
+    return ones, twos
 
 
 def tower_letter(lengths, p):
@@ -109,6 +121,43 @@ class TestStructure:
         assert w.length == lengths[-1]
         for p in (1, 2, lengths[-2], 2 * lengths[-2] + 1, w.length // 3, w.length - 1, w.length):
             assert w.letter_at(p) == tower_letter(lengths, p)
+
+    def test_deep_shared_sub_words_count_and_hash_at_once(self):
+        # each level references the one below five times: a walk over every
+        # reference would take 5^30 steps
+        w = shared_tower(30)
+        started = time.perf_counter()
+        counts = w.letter_count(1), w.letter_count(2), w.letter_count(3)
+        digest = hash(w)
+        assert time.perf_counter() - started < 0.01
+        assert counts == (*tower_counts(30), 0)
+        assert sum(counts) == w.length
+        assert digest == hash(shared_tower(30))
+        assert hash(Schedule.from_word(w)) == hash(Schedule.from_word(shared_tower(30)))
+
+    def test_letter_counts_match_flat_expansion(self):
+        w = shared_tower(4) * Word.group(Word.from_letters(3, [3, 1, 3]), 7)
+        flat = flat_letters(w)
+        for letter in (1, 2, 3, 4):
+            assert w.letter_count(letter) == flat.count(letter)
+        assert w.letter_count(np.int64(3)) == 14
+
+    def test_application_order_is_letter_at_in_turn(self):
+        for w in (shared_tower(5), Word(2, ((2, 1), (Word.empty(2), 4), (1, 2))),
+                  Word.group(Word.from_letters(3, [2, 3, 2]), 5) * Word.from_letters(3, [1]),
+                  Word.empty(3)):
+            assert list(w.application_order()) == [w.letter_at(p) for p in range(1, w.length + 1)]
+
+    def test_application_order_walks_deep_towers_lazily(self):
+        w, lengths = shared_tower(30), tower_lengths(30)
+        started = time.perf_counter()
+        head = list(islice(w.application_order(), 10_000))
+        assert time.perf_counter() - started < 1.0
+        assert head == [tower_letter(lengths, p) for p in range(1, 10_001)]
+
+    def test_application_order_steps_through_huge_exponents(self):
+        w = Word(2, ((Word.from_letters(2, [1, 2]), 10**100), (1, 10**100)))
+        assert list(islice(w.application_order(), 5)) == [1, 1, 1, 1, 1]
 
     def test_substitute_replaces_letters_with_words(self):
         w = Word.from_letters(3, [3, 1, 3])
