@@ -311,68 +311,80 @@ def _tier_basis(num, k, alphas):
 
 
 def _chain_basis(bits, k, alphas):
-    """``_tier_basis`` accurate to ``bits``: its sums cancel down to alpha_min^2
-    of their terms, so it starts that many bits higher."""
+    """The tier frame (bits, columns, tiers): ``_tier_basis`` accurate to
+    ``bits``.  Its sums cancel down to alpha_min^2 of their terms, so it starts
+    that many bits higher."""
     smallest = min(a for a in alphas if a)
-    return _certified(lambda num: _tier_basis(num, k, alphas),
-                      bits + math.ceil(2 * _log2(1 / smallest)))
+    return (bits,) + _certified(lambda num: _tier_basis(num, k, alphas),
+                                bits + math.ceil(2 * _log2(1 / smallest)))
+
+
+def _frame_at(bits, quarter):
+    """``quarter``'s tier frame at ``bits``: the rotation error's if built there."""
+    frame = quarter._frame
+    return frame if frame and frame[0] == bits else _chain_basis(bits, quarter.k, quarter.alphas)
 
 
 # -- sandwich powers ------------------------------------------------------------
 
 
-def _sandwich_powers(num, blocks, lines, chol, groups, y, line_vals):
-    """Apply prod (B C B)^r over ``groups`` (first group acts first).
+def _sandwich_powers(num, blocks, lines, chol, groups, states):
+    """Apply prod (B C B)^r over ``groups`` (first group acts first) to each state.
 
     B is sum_b F_b diag(d_b) F_b^T plus the identity on ``lines``; each block
     b = (u_row, v_row, ia, ib) holds the rows of its tier basis F_b at its two
     e-lines; ``chol`` is the Cholesky factor of the compression of C to the
-    e-lines (None for the identity).  Since B C B = B E C_E E^T B, the power
-    is (B C B)^r = B E (C_E K)^(r-1) C_E E^T B with K = E^T B^2 E, and only
-    the e-line coefficients of the state enter each group.  ``y`` holds each
-    block's tier coordinates, ``line_vals`` the line coordinates.
+    e-lines.  Since B C B = B E C_E E^T B, the power is (B C B)^r =
+    B E (C_E K)^(r-1) C_E E^T B with K = E^T B^2 E, and only the e-line
+    coefficients of a state enter each group.  Each state is a pair (tier
+    coordinates of each block, line coordinates); every state shares one
+    K and one eigendecomposition per group.
     """
     m = max(max(b[3] for b in blocks), max(lines, default=0)) + 1
     zero = num.mpf(0)
     for ds, r in groups:
-        a = [zero] * m
         k_mat = [[zero] * m for _ in range(m)]
-        for (u_row, v_row, ia, ib), d, yb in zip(blocks, ds, y):
-            a[ia] = sum(f * dc * yc for f, dc, yc in zip(u_row, d, yb))
-            a[ib] = sum(f * dc * yc for f, dc, yc in zip(v_row, d, yb))
+        for (u_row, v_row, ia, ib), d in zip(blocks, ds):
             d2 = [dc * dc for dc in d]
             k_mat[ia][ia] = sum(f * f * dc for f, dc in zip(u_row, d2))
             k_mat[ib][ib] = sum(f * f * dc for f, dc in zip(v_row, d2))
             k_mat[ia][ib] = k_mat[ib][ia] = sum(f * g * dc for f, g, dc in zip(u_row, v_row, d2))
         for e in lines:
-            a[e] = line_vals[e]
             k_mat[e][e] = 1 + zero
-        coef = _power_action(num, k_mat, chol, r, a)
-        y = [[dc * (coef[ia] * f + coef[ib] * g) for f, g, dc in zip(u_row, v_row, d)]
-             for (u_row, v_row, ia, ib), d in zip(blocks, ds)]
-        line_vals = {e: coef[e] for e in lines}
-    return y, line_vals
+        vectors = []
+        for y, line_vals in states:
+            a = [zero] * m
+            for (u_row, v_row, ia, ib), d, yb in zip(blocks, ds, y):
+                a[ia] = sum(f * dc * yc for f, dc, yc in zip(u_row, d, yb))
+                a[ib] = sum(f * dc * yc for f, dc, yc in zip(v_row, d, yb))
+            for e in lines:
+                a[e] = line_vals[e]
+            vectors.append(a)
+        states = [([[dc * (coef[ia] * f + coef[ib] * g) for f, g, dc in zip(u_row, v_row, d)]
+                    for (u_row, v_row, ia, ib), d in zip(blocks, ds)],
+                   {e: coef[e] for e in lines})
+                  for coef in _power_action(num, k_mat, chol, r, vectors)]
+    return states
 
 
-def _power_action(num, k_mat, chol, r, a):
-    """(C K)^(r-1) C a with C = L L^T, through the symmetric L^T K L."""
-    m = len(a)
-    if chol is None:
-        t_mat, b = k_mat, a
-    else:
-        kl = [[sum(k_mat[i][p] * chol[p][j] for p in range(m)) for j in range(m)] for i in range(m)]
-        t_mat = [[sum(chol[p][i] * kl[p][j] for p in range(m)) for j in range(m)] for i in range(m)]
-        b = [sum(chol[p][i] * a[p] for p in range(m)) for i in range(m)]
+def _power_action(num, k_mat, chol, r, vectors):
+    """(C K)^(r-1) C a for each a in ``vectors``, with C = L L^T, through the
+    symmetric L^T K L: one eigendecomposition serves every vector."""
+    m = len(k_mat)
+    kl = [[sum(k_mat[i][p] * chol[p][j] for p in range(m)) for j in range(m)] for i in range(m)]
+    t_mat = [[sum(chol[p][i] * kl[p][j] for p in range(m)) for j in range(m)] for i in range(m)]
     vals, vecs = _eigh(num, t_mat)
-    proj = [sum(vecs[p][i] * b[p] for p in range(m)) for i in range(m)]
+    scale = [1] * m
     if r > 1:  # eigenvalues lie in [0, 1]: L^T K L is a compressed product of contractions
         power = _value(num, r - 1)
-        proj = [x * num.exp(power * num.log(min(tau, 1))) if tau > 0 else 0 * tau
-                for x, tau in zip(proj, vals)]
-    c = [sum(vecs[i][p] * proj[p] for p in range(m)) for i in range(m)]
-    if chol is None:
-        return c
-    return [sum(chol[i][p] * c[p] for p in range(m)) for i in range(m)]
+        scale = [num.exp(power * num.log(min(tau, 1))) if tau > 0 else 0 * tau for tau in vals]
+    out = []
+    for a in vectors:
+        b = [sum(chol[p][i] * a[p] for p in range(m)) for i in range(m)]
+        proj = [sum(vecs[p][i] * b[p] for p in range(m)) * scale[i] for i in range(m)]
+        c = [sum(vecs[i][p] * proj[p] for p in range(m)) for i in range(m)]
+        out.append([sum(chol[i][p] * c[p] for p in range(m)) for i in range(m)])
+    return out
 
 
 def _eigh(num, sym):
@@ -409,28 +421,26 @@ def _bits_of(*exponents):
 
 
 def rotation_error(k, alphas, r_list):
-    """||phi u - v|| of the rotation word.
+    """||phi u - v|| of the rotation word, and the tier frame it used.
 
     b_j = P_{X_j} keeps the tiers 1..j of the adapted basis and drops the rest.
     """
-    bits = _bits_of(*r_list)
-    cols, tiers = _chain_basis(bits, k, alphas)
-    num = _context(bits)
+    bits, cols, tiers = frame = _chain_basis(_bits_of(*r_list), k, alphas)
     groups = [([[1 if t <= j else 0 for t in tiers]], r) for j, r in enumerate(r_list, start=1)]
-    return _triple_error(num, cols, groups)
+    return _triple_error(_context(bits), cols, groups), frame
 
 
-def tilt_error(k, alphas, r_list, s_list, betas):
-    """||psi u - v|| of the three-letter word.
+def tilt_error(quarter, s_list, betas):
+    """||psi u - v|| of the three-letter word over ``quarter``'s chain.
 
     b_j = (P_X P_Y P_X)^s(j) is (1 + beta^2)^-s(j) on each chain tier.
     """
-    bits = evaluation_bits(r_list, s_list, betas)
-    cols, tiers = _chain_basis(bits, k, alphas)
+    bits = evaluation_bits(quarter.r, s_list, betas)
+    _, cols, tiers = _frame_at(bits, quarter)
     num = _context(bits)
     rates = _tier_rates(num, tiers, betas)
-    groups = [([[_decay(num, _value(num, s), x) for x in rates]], r)
-              for s, r in zip(s_list, r_list)]
+    groups = [([[_decay(num, power, x) for x in rates]], r)
+              for power, r in zip([_value(num, s) for s in s_list], quarter.r)]
     return _triple_error(num, cols, groups)
 
 
@@ -440,10 +450,14 @@ def ratio(x, n):
 
 
 def _triple_error(num, cols, groups):
-    """||word u - v|| for sandwich groups over one tier basis and the plane {u, v}."""
+    """||word u - v|| for sandwich groups over one tier basis and the plane
+    {u, v}, whose compression to itself is the identity.  The identity takes
+    the basis entries' own precision, so multiplying by it rounds nothing."""
     u_row = [c[0] for c in cols]
     v_row = [c[1] for c in cols]
-    (y,), _ = _sandwich_powers(num, [(u_row, v_row, 0, 1)], [], None, groups, [u_row], {})
+    one = u_row[0] ** 0
+    [((y,), _)] = _sandwich_powers(num, [(u_row, v_row, 0, 1)], [], [[one, 0 * one], [0 * one, one]],
+                                   groups, [([u_row], {})])
     return float(num.sqrt(sum((a - b) ** 2 for a, b in zip(y, v_row))))
 
 
@@ -534,59 +548,58 @@ def glued_words(triples, lines):
     so P_M1 P_Mt P_M1 is the sum of their sandwiches S_l and B = sum_l S_l^s
     plus the lines; the plane letter compresses, on the range of B, to the
     e-lines: S_l' on {e_l', e_l'+1} for each triple l' of the other group,
-    plus its lines.  Returns the function mapping (i, (xe, xz)) to word i's
-    image as float lists, and the bits it evaluates at.
+    plus its lines.  Returns the function mapping (i, [(xe, xz), ...]) to
+    word i's images of those states as float lists, evaluated in one pass,
+    and the bits it evaluates at.  Each triple's tier frame is the one its
+    quarter circle built, unless the words need another precision.
     """
     K = len(triples)
     bits = max(evaluation_bits(t.quarter.r, t.s, t.betas) for t in triples)
     num = _context(bits)
     frames = []
     for t in triples:
-        cols, tiers = _chain_basis(bits, t.quarter.k, t.quarter.alphas)
+        _, cols, tiers = _frame_at(bits, t.quarter)
         rates = _tier_rates(num, tiers, t.betas)
         shrink = [1 / (1 + _value(num, t.betas[tier - 1] ** 2)) for tier in tiers]
         frames.append((cols, rates, shrink))
 
-    def compress(l):
-        cols, _, shrink = frames[l]
-        return [[sum(c[a] * c[b] * f for c, f in zip(cols, shrink)) for b in (0, 1)] for a in (0, 1)]
-
-    def apply_word(i, state):
-        xe, xz = state
+    def apply_word(i, states):
         tilt = (i + 1) % 2
         members = [l for l in range(K) if (l + 1) % 2 == tilt]
         c_mat = [[num.mpf(0)] * (K + 1) for _ in range(K + 1)]
         for l in range(K):
             if (l + 1) % 2 != tilt:
-                block = compress(l)
+                cols, _, shrink = frames[l]
                 for a in (0, 1):
                     for b in (0, 1):
-                        c_mat[l + a][l + b] = block[a][b]
+                        c_mat[l + a][l + b] = sum(c[a] * c[b] * f for c, f in zip(cols, shrink))
         for e in lines[1 - tilt]:
             c_mat[e][e] = 1 + c_mat[e][e]
         chol = _cholesky(num, c_mat)
-        blocks, y = [], []
-        for l in members:
-            cols = frames[l][0]
-            blocks.append(([c[0] for c in cols], [c[1] for c in cols], l, l + 1))
-            x_l = [_value(num, x) for x in [xe[l], xe[l + 1]] + list(xz[l])]
-            y.append([sum(c[p] * x_l[p] for p in range(len(c))) for c in cols])
-        line_vals = {e: _value(num, xe[e]) for e in lines[tilt]}
+        blocks = [([c[0] for c in frames[l][0]], [c[1] for c in frames[l][0]], l, l + 1)
+                  for l in members]
+        inputs = []
+        for xe, xz in states:
+            y = []
+            for l in members:
+                x_l = [_value(num, x) for x in [xe[l], xe[l + 1]] + list(xz[l])]
+                y.append([sum(c[p] * x_l[p] for p in range(len(c))) for c in frames[l][0]])
+            inputs.append((y, {e: _value(num, xe[e]) for e in lines[tilt]}))
         t = triples[i]
         powers = [_value(num, s) for s in t.s]
         groups = [([[_decay(num, power, x) for x in frames[l][1]] for l in members], r)
                   for power, r in zip(powers, t.quarter.r)]
-        y, line_vals = _sandwich_powers(num, blocks, lines[tilt], chol, groups, y, line_vals)
-        xe = [0.0] * (K + 1)
-        xz = [[0.0] * tr.quarter.k for tr in triples]
-        for l, yl in zip(members, y):
-            cols = frames[l][0]
-            x_l = [float(sum(c[p] * yc for c, yc in zip(cols, yl))) for p in range(len(cols))]
-            xe[l], xe[l + 1], xz[l] = x_l[0], x_l[1], x_l[2:]
-        for e, val in line_vals.items():
-            xe[e] = float(val)
-        return xe, xz
+        images = []
+        for y, line_vals in _sandwich_powers(num, blocks, lines[tilt], chol, groups, inputs):
+            xe = [0.0] * (K + 1)
+            xz = [[0.0] * tr.quarter.k for tr in triples]
+            for l, yl in zip(members, y):
+                cols = frames[l][0]
+                x_l = [float(sum(c[p] * yc for c, yc in zip(cols, yl))) for p in range(len(cols))]
+                xe[l], xe[l + 1], xz[l] = x_l[0], x_l[1], x_l[2:]
+            for e, val in line_vals.items():
+                xe[e] = float(val)
+            images.append((xe, xz))
+        return images
 
     return apply_word, num.prec
-
-

@@ -110,8 +110,7 @@ def cmd_run(args):
         raise InputError(f"schedule alphabet 1..{schedule.J} does not match {len(spaces)} subspace files")
     x0 = _parse_vector(args.x0)
     cfg = iteration.RunConfig(max_steps=args.max_steps, stop_tol=args.tol)
-    trace = iteration.run(spaces, schedule, x0, cfg, reference="auto",
-                          store_iterates=args.store_iterates)
+    trace = iteration.run(spaces, schedule, x0, cfg, reference="auto")
     _write_trace_csv(args.out, trace)
     _report({
         "command": "run",
@@ -274,7 +273,6 @@ def build_parser():
     p.add_argument("--schedule", required=True, help="periodic:1,2,3 | ruler:J | file:PATH")
     p.add_argument("--x0", required=True, help="starting vector, comma separated")
     p.add_argument("--out", default=None)
-    p.add_argument("--store-iterates", action="store_true", dest="store_iterates")
     p.set_defaults(func=cmd_run, default_out="trace.csv")
 
     p = sub.add_parser("kaczmarz", help="solve a consistent linear system by cyclic projection")

@@ -140,7 +140,8 @@ class QuarterCircleResult:
     ``alphas`` are exact dyadic Fractions; ``chain`` holds float64 views or
     ``Unrepresentable`` placeholders; ``z`` are the perturbation directions
     in the ambient space.  Fields that may hold ints beyond the interpreter's
-    int-to-str limit are left out of the repr.
+    int-to-str limit are left out of the repr.  ``_frame`` is the tier frame
+    the rotation error was evaluated on, kept for the later evaluations.
     """
 
     k: int
@@ -151,6 +152,7 @@ class QuarterCircleResult:
     phi: Word = field(repr=False)
     achieved_error: float
     z: list = field(repr=False, default=None)
+    _frame: tuple = field(repr=False, default=None)
 
 
 def quarter_circle(x_space, u, v, eps, alpha0=0.5, r_cap=None):
@@ -200,11 +202,11 @@ def quarter_circle(x_space, u, v, eps, alpha0=0.5, r_cap=None):
         factors.append((sandwich, r_list[j - 1]))
     phi = Word(k + 1, tuple(factors))
 
-    achieved = exact.rotation_error(k, alphas, r_list)
+    achieved, frame = exact.rotation_error(k, alphas, r_list)
     if achieved >= 2.0 * eps:
         raise ArithmeticError(f"rotation word error {achieved:.6g} did not meet 2*eps = {2 * eps:.6g}")
     return QuarterCircleResult(k=k, h=h, alphas=alphas, chain=chain, r=r_list,
-                               phi=phi, achieved_error=achieved, z=z)
+                               phi=phi, achieved_error=achieved, z=z, _frame=frame)
 
 
 def _chain_views(h, z, alphas, n):
@@ -379,7 +381,7 @@ def build_triple(e_space, x_space, u, v, eps, eta, alpha0=0.5,
                                     ambient_dim=n)
     y_space = _tilt_view(qc.chain, x_space, e_space, betas)
 
-    achieved = exact.tilt_error(qc.k, qc.alphas, qc.r, s_exp, betas)
+    achieved = exact.tilt_error(qc, s_exp, betas)
     if achieved >= 3.0 * eps:
         raise ArithmeticError(f"triple word error {achieved:.6g} did not meet 3*eps = {3 * eps:.6g}")
     return TripleResult(W=w_plane, X=x_space, Y=y_space, psi=psi,
@@ -419,14 +421,6 @@ class GluedConstruction:
     precision: int = 53
 
 
-def _blocks_for(K, k_values):
-    """Coordinate layout: e_1..e_{K+1} first, then one slab per triple."""
-    slabs = [2 * (k + 2) - 2 for k in k_values]  # X_i fill + tilt room
-    total = (K + 1) + sum(slabs)
-    offsets = np.cumsum([K + 1] + slabs[:-1])
-    return slabs, offsets, int(total)
-
-
 def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
     """Chain K triples into three subspaces and one schedule.
 
@@ -438,7 +432,7 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
     seed 0: k = 39 and 79, sum r = 1.2e116 and 3.2e283, s up to 5173 and
     22781 digits, words evaluated at 974 bits (mpmath), checkpoint errors
     0.032 and 0.047 against budgets 0.125 and 0.1875, gap 1.36, in about
-    11 s on a 2-core x86-64 VM.  An exponent beyond ``r_cap`` or ``s_cap``
+    8 s on a 2-core x86-64 VM.  An exponent beyond ``r_cap`` or ``s_cap``
     (None: no cap) raises ``ExponentCapExceeded`` tagged with the offending
     triple.
     """
@@ -455,26 +449,22 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
             f"sum(4 eps_i) = {budget:.6g} must stay below 1/2 for the checkpoint "
             "iterates to stay near the orthonormal targets")
 
+    # coordinate layout: e_1..e_{K+1} first, then one slab per triple
     k_values = [k_of_eps(e) for e in epsilons]
-    slabs, offsets, total = _blocks_for(K, k_values)
+    slabs = [2 * (k + 2) - 2 for k in k_values]  # X_i fill + tilt room
+    total = (K + 1) + sum(slabs)
     rng = np.random.default_rng(seed)
 
-    basis_e = [np.eye(total)[:, i] for i in range(K + 1)]
+    basis_e = list(np.eye(total)[:, :K + 1].T)
     x_spaces = []
     e_spaces = []
-    for i in range(K):
-        off, slab = int(offsets[i]), slabs[i]
+    for i, (slab, off) in enumerate(zip(slabs, np.cumsum([K + 1] + slabs[:-1]))):
         # seeded rotation inside the slab: X_i gets the first k_i directions
-        q = linalg.random_subspace(rng, slab, slab).basis
-        slab_cols = []
-        for c in range(slab):
-            col = np.zeros(total)
-            col[off:off + slab] = q[:, c]
-            slab_cols.append(col)
-        x_cols = [basis_e[i], basis_e[i + 1]] + slab_cols[:k_values[i]]
-        e_cols = x_cols + slab_cols[k_values[i]:]
-        x_spaces.append(linalg.Subspace(total, np.column_stack(x_cols)))
-        e_spaces.append(linalg.Subspace(total, np.column_stack(e_cols)))
+        slab_cols = np.zeros((total, slab))
+        slab_cols[off:off + slab] = linalg.random_subspace(rng, slab, slab).basis
+        x_cols = np.column_stack([basis_e[i], basis_e[i + 1], slab_cols[:, :k_values[i]]])
+        x_spaces.append(linalg.Subspace(total, x_cols))
+        e_spaces.append(linalg.Subspace(total, np.column_stack([x_cols, slab_cols[:, k_values[i]:]])))
 
     def tagged(i, build):
         try:
@@ -491,6 +481,13 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
     from . import _intrinsic as exact
 
     deltas = [exact.ratio(epsilons[i], quarters[i].phi.letter_count(1)) for i in range(K)]
+    for i, delta in enumerate(deltas):
+        if delta < np.finfo(float).tiny:
+            neighbours = " and ".join(str(j + 1) for j in (i - 1, i + 1) if 0 <= j < K)
+            raise ArithmeticError(
+                f"triple {i + 1} (eps = {epsilons[i]:.6g}) has |phi|_W = "
+                f"{exact.sci(quarters[i].phi.letter_count(1))}, so eps/|phi|_W underflows "
+                f"float64; it sets eta of triple {neighbours}")
     etas = []
     for i in range(K):
         left = 1.0 if i == 0 else deltas[i - 1]
@@ -500,7 +497,7 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
     triples = [tagged(i, lambda i=i: build_triple(
         e_spaces[i], x_spaces[i], basis_e[i], basis_e[i + 1], epsilons[i], etas[i],
         r_cap=r_cap, s_cap=s_cap, _quarter=quarters[i])) for i in range(K)]
-    return assemble(triples, [basis_e[i] for i in range(K + 1)], epsilons)
+    return assemble(triples, basis_e, epsilons)
 
 
 def assemble(triples, e_vectors, epsilons):
@@ -568,10 +565,9 @@ def assemble(triples, e_vectors, epsilons):
     states = []
     state = (unit[0], zeros)
     for i in range(K):
-        state = apply_word(i, state)
+        # one pass moves the running state and checks the word from e_i
+        state, (xe, xz) = apply_word(i, [state, (unit[i], zeros)])
         states.append(_ambient(state, e_vectors, triples, n))
-        # word 1 starts from e_1 itself; later words are checked from e_i
-        xe, xz = state if i == 0 else apply_word(i, (unit[i], zeros))
         err = math.sqrt(sum((x - y) ** 2 for x, y in zip(xe, unit[i + 1]))
                         + sum(x * x for zl in xz for x in zl))
         achieved.append(err)

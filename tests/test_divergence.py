@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -344,6 +345,71 @@ class TestGlue:
     def test_k_minimum(self):
         with pytest.raises(ValueError, match="K >= 2"):
             glue(1, [0.01])
+
+    @pytest.mark.parametrize("K, huge, named", [(2, 0, "triple 1 .* eta of triple 2$"),
+                                                 (3, 1, "triple 2 .* eta of triple 1 and 3$")])
+    def test_underflowing_eps_over_phi_is_named(self, monkeypatch, K, huge, named):
+        # |phi|_W = 10^400 drives eps/|phi|_W, the neighbours' eta, below float64
+        calls = []
+
+        def stub_quarter(*args, **kwargs):
+            count = 10**400 if len(calls) == huge else 10
+            calls.append(count)
+            return SimpleNamespace(phi=SimpleNamespace(letter_count=lambda letter: count))
+
+        monkeypatch.setattr(divergence, "quarter_circle", stub_quarter)
+        with pytest.raises(ArithmeticError, match=named) as info:
+            glue(K, [0.04] * K)
+        assert "eps = 0.04" in str(info.value)
+        assert "|phi|_W = 1.000e+400, so eps/|phi|_W underflows float64" in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def counted_glue():
+    """``glue(2, [0.06, 0.06])`` with its tier-frame builds and word evaluations counted."""
+    from altproj import _intrinsic
+
+    counts = {"frames": 0, "evaluations": 0, "states": []}
+    chain_basis, glued_words = _intrinsic._chain_basis, _intrinsic.glued_words
+
+    def counted_chain_basis(*args):
+        counts["frames"] += 1
+        return chain_basis(*args)
+
+    def counted_glued_words(*args):
+        apply_word, bits = glued_words(*args)
+
+        def counted_apply(i, states):
+            counts["evaluations"] += 1
+            counts["states"].append(len(states))
+            return apply_word(i, states)
+
+        return counted_apply, bits
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_intrinsic, "_chain_basis", counted_chain_basis)
+        mp.setattr(_intrinsic, "glued_words", counted_glued_words)
+        construction = glue(2, [0.06, 0.06], seed=0)
+    return construction, counts
+
+
+class TestGlueEngine:
+    def test_one_frame_per_triple_and_one_pass_per_word(self, counted_glue):
+        _, counts = counted_glue
+        assert counts["frames"] == 2  # the rotation errors' frames serve every later evaluation
+        assert counts["evaluations"] == 2
+        assert counts["states"] == [2, 2]  # the running state and e_i
+
+    def test_outputs_pinned(self, counted_glue):
+        construction, _ = counted_glue
+        assert [a.hex() for a in construction.achieved] == ["0x1.005a344806890p-4"] * 2
+        assert [float(np.linalg.norm(s)).hex() for s in construction.checkpoint_states] == [
+            "0x1.dff4c7aaa8e38p-1", "0x1.c1eaf6bc5d362p-1"]
+        assert construction.non_cauchy_gap.hex() == "0x1.48e47f3ad370cp+0"
+        assert construction.precision == 190
+        for t in construction.triples:
+            assert t.quarter.achieved_error.hex() == "0x1.005a34480688bp-4"
+            assert t.achieved_error.hex() == "0x1.005a34480688bp-4"
 
 
 @pytest.fixture(scope="module")
