@@ -249,11 +249,11 @@ def _rotation_stage(num, k, j, alphas, gram, bound, r_cap):
     raise ValueError(f"no perturbation size survived at stage {j}")
 
 
-def rotation_ladder(k, eps, alpha0, r_cap):
-    """Exact exponents r(1..k) and perturbations alpha_0..alpha_k (alpha_k = 0)."""
+def rotation_ladder(k, eps, r_cap):
+    """Exact exponents r(1..k) and perturbations alpha_0 = 1/2 .. alpha_k = 0."""
     bound = eps / k
     log2_rate = max(0.0, math.log2(-math.log(bound)))
-    alphas = [Fraction(alpha0)]
+    alphas = [Fraction(1, 2)]
     r_list = []
     gram = None
     for j in range(1, k + 1):

@@ -43,32 +43,32 @@ class RateCurve:
         ]
 
 
-def _split(s1, s2, tol):
+def _split(s1, s2):
     """Friedrichs cosine and an intersection basis from one angle computation."""
     pa = linalg.principal_angles(s1, s2)
-    meet = int(np.count_nonzero(pa.sin <= tol))
+    meet = int(np.count_nonzero(pa.sin <= linalg.DEFAULT_TOL))
     return (float(pa.cos[meet]) if meet < pa.cos.size else 0.0), pa.vectors1[:, :meet]
 
 
-def friedrichs_cosine(s1, s2, tol=linalg.DEFAULT_TOL):
+def friedrichs_cosine(s1, s2):
     """Cosine of the Friedrichs angle between two subspaces.
 
-    Principal angles whose sine is at or below ``tol`` span the intersection;
-    the cosine is that of the first angle beyond them, which lies in [0, 1].
-    If every angle lies in the intersection the supremum is empty and the
-    cosine is 0 by convention.
+    Principal angles whose sine is at or below ``linalg.DEFAULT_TOL`` span
+    the intersection; the cosine is that of the first angle beyond them, which
+    lies in [0, 1].  If every angle lies in the intersection the supremum is
+    empty and the cosine is 0 by convention.
     """
-    return _split(s1, s2, tol)[0]
+    return _split(s1, s2)[0]
 
 
-def rate_curve(s1, s2, n_terms, tol=linalg.DEFAULT_TOL):
+def rate_curve(s1, s2, n_terms):
     """Measured ||(P2 P1)^n - P_M|| against c^(2n-1) for n = 1..n_terms.
 
-    M and c come from one principal-angle call; ``tol`` is a sine threshold.
+    M and c come from one principal-angle call.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    c, meet = _split(s1, s2, tol)
+    c, meet = _split(s1, s2)
     p1 = linalg.projection_matrix(s1)
     p2 = linalg.projection_matrix(s2)
     pm = meet @ meet.T

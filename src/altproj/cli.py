@@ -278,9 +278,10 @@ def build_parser():
     p = sub.add_parser("kaczmarz", help="solve a consistent linear system by cyclic projection")
     p.add_argument("system", help="system file (sparse rows, or dense CSV with --dense)")
     p.add_argument("--dense", action="store_true")
-    p.add_argument("--x0", default=None, help="starting vector, comma separated")
-    p.add_argument("--min-norm", action="store_true", dest="min_norm",
-                   help="start from zero: converges to the minimal-norm solution")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--x0", default=None, help="starting vector, comma separated")
+    start.add_argument("--min-norm", action="store_true", dest="min_norm",
+                       help="start from zero: converges to the minimal-norm solution")
     p.add_argument("--sweeps", type=int, default=100_000)
     p.add_argument("--out", default=None)
     p.add_argument("--residuals", default=None, help="residual CSV path (default OUT.residuals.csv)")

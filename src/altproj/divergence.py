@@ -13,7 +13,8 @@ The pieces, bottom-up:
   (P_X P_Y P_X)^s(j) within eps of each chain projection P_{X_j}.
 
 * ``build_triple`` composes the two: a word psi over three letters
-  {W, X, Y} with ||psi(P_W, P_X, P_Y) u - v|| < 3*eps.
+  {W, X, Y} with ||psi(P_W, P_X, P_Y) u - v|| < 3*eps.  It keeps X, Y, psi
+  and the quarter circle; W = span{u, v} is the quarter circle's plane.
 
 * ``glue`` chains K triples on (mostly) orthogonal blocks so the iterates
   visit an orthonormal set e_1, e_2, ..., e_{K+1}: three fixed subspaces
@@ -52,7 +53,8 @@ exponents it decides plus a guard -- in float64 when that suffices and with
 mpmath otherwise; an integer or an inequality counts as decided only when its
 rounding bound cannot flip it, and is recomputed at doubled precision when it
 can.  Float64 views of the subspaces (the chain, the tilt Y, the glued
-M1..M3) are built wherever float64 resolves them; elsewhere they are
+M1..M3) are built wherever float64 resolves them, and every tilt view is
+cross-checked on its principal angles to X; elsewhere they are
 ``Unrepresentable`` placeholders that say why instead of returning rounded
 subspaces.  The power searches take optional caps and raise
 ``ExponentCapExceeded`` naming the offending stage when an exponent would
@@ -155,11 +157,12 @@ class QuarterCircleResult:
     _frame: tuple = field(repr=False, default=None)
 
 
-def quarter_circle(x_space, u, v, eps, alpha0=0.5, r_cap=None):
+def quarter_circle(x_space, u, v, eps, r_cap=None):
     """Rotate u to v inside ``x_space`` by a finite word of projections.
 
     Needs u, v orthonormal in ``x_space`` and dim >= k(eps) + 2 to host the
     k perturbation directions.  Returns the nested chain X_1 c ... c X_k,
+    whose perturbations alpha_j start at 1/2 and halve until a stage fits,
     the minimal powers r(j) with ||(P_{X_j} P_W P_{X_j})^r(j) - P_{line h_j}||
     < eps/k, and the word phi = (b_k c b_k)^r(k) ... (b_1 c b_1)^r(1) over
     {c = W, b_j = X_j} achieving ||phi u - v|| < 2 eps.  ``r_cap`` (None:
@@ -167,8 +170,6 @@ def quarter_circle(x_space, u, v, eps, alpha0=0.5, r_cap=None):
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    if not 0.0 < alpha0 < 1.0:
-        raise ValueError("alpha0 must lie in (0, 1)")
     k = k_of_eps(eps)
     n = x_space.ambient_dim
     u = linalg.as_vector(u, dim=n)
@@ -185,7 +186,7 @@ def quarter_circle(x_space, u, v, eps, alpha0=0.5, r_cap=None):
 
     from . import _intrinsic as exact
 
-    alphas, r_list = exact.rotation_ladder(k, eps, alpha0, r_cap)
+    alphas, r_list = exact.rotation_ladder(k, eps, r_cap)
 
     w_plane = linalg.orthonormalize([u, v], ambient_dim=n)
     # k orthonormal perturbation directions inside x_space, orthogonal to W
@@ -236,7 +237,9 @@ def _tilt_view(chain, x_space, e_space, betas):
     """Float64 tilt Y spanned by e_i + gamma_i w_i, where float64 resolves it.
 
     e_i is an orthonormal basis of X adapted to the chain (gamma_i = beta of
-    the chain tier of e_i) and w_i are orthonormal in E orthogonal to X.
+    the chain tier of e_i) and w_i are orthonormal in E orthogonal to X.  The
+    view's principal angles to X are cross-checked: the largest sine must be
+    ``_tilt_gap`` of the largest gamma, and the smallest must be positive.
     """
     from . import _intrinsic as exact
 
@@ -257,7 +260,13 @@ def _tilt_view(chain, x_space, e_space, betas):
     pool = linalg.intersect([linalg.complement(x_space), e_space])
     w = pool.basis[:, :x_space.dim]
     gammas = np.repeat([float(b) for b in betas], tier_sizes)
-    return linalg.Subspace(n, (adapted.basis + w * gammas) / np.sqrt(1.0 + gammas**2))
+    y_space = linalg.Subspace(n, (adapted.basis + w * gammas) / np.sqrt(1.0 + gammas**2))
+    sin = linalg.principal_angles(x_space, y_space).sin
+    if abs(sin[-1] - _tilt_gap(gammas.max())) > 1e-12:
+        raise ArithmeticError(f"||P_X - P_Y|| = {sin[-1]:.17g} disagrees with the tilt structure")
+    if sin[0] <= 1e-12:
+        raise ArithmeticError("tilted subspace unexpectedly intersects the original")
+    return y_space
 
 
 def _tilt_gap(gamma):
@@ -305,7 +314,6 @@ def replace_projection(chain, x_space, e_space, eps, eta, a, s_cap=None):
     chain = list(chain)
     if not chain:
         raise ValueError("chain must be non-empty")
-    k = len(chain)
     nested = chain + [x_space]
     for inner, outer in zip(nested, nested[1:]):
         if not linalg.contains(outer, inner, tol=1e-8):
@@ -314,20 +322,8 @@ def replace_projection(chain, x_space, e_space, eps, eta, a, s_cap=None):
 
     from . import _intrinsic as exact
 
-    s_exp, betas = exact.tilt_ladder(k, eps, eta, a, s_cap)
-    y_space = _tilt_view(chain, x_space, e_space, betas)
-    if not isinstance(y_space, Unrepresentable):
-        # cross-check the structure the exact ladder relies on: the largest
-        # principal sine is ||P_X - P_Y||, and a positive smallest one means
-        # X and Y meet only at the origin
-        dims = [0] + [c.dim for c in nested]
-        largest = max(b for b, lo, hi in zip(betas, dims, dims[1:]) if hi > lo)
-        sin = linalg.principal_angles(x_space, y_space).sin
-        if abs(sin[-1] - _tilt_gap(largest)) > 1e-12:
-            raise ArithmeticError(f"||P_X - P_Y|| = {sin[-1]:.17g} disagrees with the tilt structure")
-        if sin[0] <= 1e-12:
-            raise ArithmeticError("tilted subspace unexpectedly intersects the original")
-    return y_space, s_exp, betas
+    s_exp, betas = exact.tilt_ladder(len(chain), eps, eta, a, s_cap)
+    return _tilt_view(chain, x_space, e_space, betas), s_exp, betas
 
 
 # -- triples ----------------------------------------------------------------------
@@ -335,10 +331,10 @@ def replace_projection(chain, x_space, e_space, eps, eta, a, s_cap=None):
 
 @dataclass(eq=False)
 class TripleResult:
-    """Two nearly parallel subspaces X, Y plus the plane W = span{u, v} and a
-    word psi over {W, X, Y} carrying u to within 3*eps of v."""
+    """Two nearly parallel subspaces X, Y and a word psi over {W, X, Y} carrying
+    u to within 3*eps of v; W = span{u, v} is the plane of ``quarter``, and Y
+    is the checked float64 view of ``_tilt_view`` or ``Unrepresentable``."""
 
-    W: linalg.Subspace
     X: linalg.Subspace
     Y: linalg.Subspace
     psi: Word = field(repr=False)
@@ -349,8 +345,7 @@ class TripleResult:
     quarter: QuarterCircleResult = field(repr=False, default=None)
 
 
-def build_triple(e_space, x_space, u, v, eps, eta, alpha0=0.5,
-                 r_cap=None, s_cap=None, _quarter=None):
+def build_triple(e_space, x_space, u, v, eps, eta, r_cap=None, s_cap=None):
     """Compose the rotation word with the chain replacement.
 
     Runs ``quarter_circle`` at accuracy ``eps``, then the chain replacement
@@ -358,10 +353,13 @@ def build_triple(e_space, x_space, u, v, eps, eta, alpha0=0.5,
     letter b_j of phi by the sandwich block (a2 a3 a2)^s(j) to obtain psi
     over the three letters {a1 = W, a2 = X, a3 = Y}.
     """
+    return _extend(quarter_circle(x_space, u, v, eps, r_cap=r_cap), e_space, x_space, eps, eta, s_cap)
+
+
+def _extend(qc, e_space, x_space, eps, eta, s_cap):
+    """The chain replacement and psi of ``build_triple`` on the quarter circle ``qc``."""
     from . import _intrinsic as exact
 
-    qc = _quarter if _quarter is not None else quarter_circle(
-        x_space, u, v, eps, alpha0=alpha0, r_cap=r_cap)
     _check_room(x_space, e_space)
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -375,16 +373,12 @@ def build_triple(e_space, x_space, u, v, eps, eta, alpha0=0.5,
     for j in range(1, qc.k + 1):
         mapping[j + 1] = Word.group(block, s_exp[j - 1])
     psi = qc.phi.substitute(mapping, alphabet=3)
-
-    n = x_space.ambient_dim
-    w_plane = linalg.orthonormalize([linalg.as_vector(u, dim=n), linalg.as_vector(v, dim=n)],
-                                    ambient_dim=n)
     y_space = _tilt_view(qc.chain, x_space, e_space, betas)
 
     achieved = exact.tilt_error(qc, s_exp, betas)
     if achieved >= 3.0 * eps:
         raise ArithmeticError(f"triple word error {achieved:.6g} did not meet 3*eps = {3 * eps:.6g}")
-    return TripleResult(W=w_plane, X=x_space, Y=y_space, psi=psi,
+    return TripleResult(X=x_space, Y=y_space, psi=psi,
                         eta_achieved=_tilt_gap(betas[-1]), achieved_error=achieved,
                         s=list(s_exp), betas=list(betas), quarter=qc)
 
@@ -434,7 +428,8 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
     0.032 and 0.047 against budgets 0.125 and 0.1875, gap 1.36, in about
     8 s on a 2-core x86-64 VM.  An exponent beyond ``r_cap`` or ``s_cap``
     (None: no cap) raises ``ExponentCapExceeded`` tagged with the offending
-    triple.
+    triple; any other ``ArithmeticError`` of a triple's stages is re-raised
+    with its type and the triple named.
     """
     epsilons = [float(e) for e in epsilons]
     if K < 2:
@@ -467,12 +462,14 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
         e_spaces.append(linalg.Subspace(total, np.column_stack([x_cols, slab_cols[:, k_values[i]:]])))
 
     def tagged(i, build):
+        prefix = f"triple {i + 1} (eps = {epsilons[i]:.6g}): "
         try:
             return build()
         except ExponentCapExceeded as exc:
-            raise ExponentCapExceeded(
-                f"triple {i + 1} (eps = {epsilons[i]:.6g}): {exc}",
-                stage=exc.stage, triple=i + 1, required=exc.required) from None
+            raise ExponentCapExceeded(prefix + str(exc), stage=exc.stage, triple=i + 1,
+                                      required=exc.required) from None
+        except ArithmeticError as exc:
+            raise type(exc)(prefix + str(exc)) from None
 
     # first pass: rotation words (fixes N_i = |phi_i|_W needed for the eta ladder)
     quarters = [tagged(i, lambda i=i: quarter_circle(
@@ -494,9 +491,8 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
         right = math.inf if i == K - 1 else deltas[i + 1]
         etas.append(min(left, right))
 
-    triples = [tagged(i, lambda i=i: build_triple(
-        e_spaces[i], x_spaces[i], basis_e[i], basis_e[i + 1], epsilons[i], etas[i],
-        r_cap=r_cap, s_cap=s_cap, _quarter=quarters[i])) for i in range(K)]
+    triples = [tagged(i, lambda i=i: _extend(
+        quarters[i], e_spaces[i], x_spaces[i], epsilons[i], etas[i], s_cap)) for i in range(K)]
     return assemble(triples, basis_e, epsilons)
 
 

@@ -86,9 +86,9 @@ class Trace:
         return len(self.indices)
 
 
-def reference_limit(subspaces, x0, tol=linalg.DEFAULT_TOL):
+def reference_limit(subspaces, x0):
     """Projection of ``x0`` onto the intersection of all subspaces."""
-    return linalg.project(linalg.intersect(subspaces, tol=tol), x0)
+    return linalg.project(linalg.intersect(subspaces), x0)
 
 
 def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=False):
@@ -182,7 +182,7 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
     )
 
 
-def kakutani_gaps(subspaces, x0, n_max, tol=linalg.DEFAULT_TOL):
+def kakutani_gaps(subspaces, x0, n_max):
     """Cycle gaps ||T^n x0 - T^{n+1} x0|| for n = 0..n_max, T = P_J ... P_1.
 
     One application of T projects onto subspace 1 first, then 2, and so on.

@@ -165,11 +165,11 @@ def complement(s):
     return Subspace(n, q[:, d:])
 
 
-def subspace_sum(s1, s2, tol=DEFAULT_TOL):
+def subspace_sum(s1, s2):
     """Span of the union of two subspaces."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
-    return orthonormalize(np.hstack([s1.basis, s2.basis]).T, tol=tol, ambient_dim=s1.ambient_dim)
+    return orthonormalize(np.hstack([s1.basis, s2.basis]).T, ambient_dim=s1.ambient_dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,13 +259,13 @@ def operator_norm(a):
     return float(np.linalg.norm(m, 2))
 
 
-def random_subspace(rng, n, d, tol=DEFAULT_TOL):
+def random_subspace(rng, n, d):
     """Seeded random ``d``-dimensional subspace of R^n.
 
     Draws an ``n x d`` standard-normal matrix from ``rng`` (numpy Generator,
     PCG64 via ``numpy.random.default_rng(seed)``) and takes the Q of its
     Householder QR, with column signs set so that diag(R) > 0: Gram-Schmidt's
-    basis up to rounding.  A draw with min |R_ii| <= ``tol`` * max |R_ii| is
+    basis up to rounding.  A draw with min |R_ii| <= DEFAULT_TOL * max |R_ii| is
     refused as degenerate.  Deterministic for a fixed seed.
     """
     if not 0 <= d <= n:
@@ -274,12 +274,12 @@ def random_subspace(rng, n, d, tol=DEFAULT_TOL):
         return Subspace.zero(n)
     q, r = np.linalg.qr(rng.standard_normal((n, d)))
     diag = np.diagonal(r)
-    if np.min(np.abs(diag)) <= tol * np.max(np.abs(diag)):
+    if np.min(np.abs(diag)) <= DEFAULT_TOL * np.max(np.abs(diag)):
         raise ValueError("degenerate random draw")  # probability zero
     return Subspace(n, q * np.sign(diag))
 
 
-def load_subspace(path, tol=DEFAULT_TOL):
+def load_subspace(path):
     """Read a subspace from a text file: one basis vector per line.
 
     Lines hold comma-separated decimals; ``#`` starts a comment; all rows must
@@ -300,4 +300,4 @@ def load_subspace(path, tol=DEFAULT_TOL):
                 raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} entries, got {len(rows[-1])}")
     if not rows:
         raise ValueError(f"{path}: no vectors found")
-    return orthonormalize(np.array(rows), tol=tol)
+    return orthonormalize(np.array(rows))

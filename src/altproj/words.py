@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_MAX_LETTERS = 10**6  # longest word ``Word.letters`` expands
+
 
 def _exponent_repr(exp):
     if exp < 10**600:
@@ -172,13 +174,13 @@ class Word:
             elif item.length:
                 stack.append([item.factors, exp, len(item.factors)])
 
-    def letters(self, limit=10**6):
+    def letters(self):
         """Flat letter sequence in written order; refuses absurd expansions."""
-        if self.length > limit:
+        if self.length > _MAX_LETTERS:
             raise ValueError(f"word of length {self.length} is too long to materialize")
         out = []
         for item, exp in self.factors:
-            unit = item.letters(limit) if isinstance(item, Word) else [item]
+            unit = item.letters() if isinstance(item, Word) else [item]
             out.extend(unit * exp)
         return out
 

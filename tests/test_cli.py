@@ -215,6 +215,16 @@ class TestKaczmarz:
         assert code == 1
         assert "--x0 or --min-norm" in stderr
 
+    def test_start_vector_and_min_norm_exclude_each_other(self, tmp_path, capsys):
+        system = write(tmp_path / "sys.txt", "2 1\n2 1 0 1\n")
+        out = tmp_path / "x"
+        code, stdout, stderr = run_main(capsys, [
+            "kaczmarz", system, "--x0", "5,5", "--min-norm", "--out", str(out)])
+        assert code == 1
+        assert stdout == ""
+        assert "--min-norm: not allowed with argument --x0" in stderr
+        assert not out.exists()
+
 
 class TestAngle:
     def test_rate_table_for_the_two_lines(self, tmp_path, two_lines, capsys):

@@ -325,6 +325,14 @@ class TestBuildTriple:
         assert triple.betas == sorted(triple.betas)
         assert triple.betas[-1] == 0.25 / 4.0
 
+    def test_tilt_view_is_cross_checked(self, monkeypatch):
+        # a tilt gap that disagrees with the principal angles must stop the build
+        tilt_gap = divergence._tilt_gap
+        monkeypatch.setattr(divergence, "_tilt_gap", lambda gamma: tilt_gap(gamma) + 1e-6)
+        with pytest.raises(ArithmeticError, match="disagrees with the tilt structure"):
+            build_triple(linalg.Subspace.full(10), coordinate_subspace(10, 5),
+                         np.eye(10)[:, 0], np.eye(10)[:, 1], eps=0.5, eta=0.25, s_cap=10**13)
+
 
 class TestGlue:
     def test_budget_violation_raises(self):
@@ -362,6 +370,13 @@ class TestGlue:
             glue(K, [0.04] * K)
         assert "eps = 0.04" in str(info.value)
         assert "|phi|_W = 1.000e+400, so eps/|phi|_W underflows float64" in str(info.value)
+
+    def test_stage_errors_name_the_triple(self, monkeypatch):
+        from altproj import _intrinsic
+
+        monkeypatch.setattr(_intrinsic, "tilt_error", lambda *args: 1.0)
+        with pytest.raises(ArithmeticError, match=r"^triple 1 \(eps = 0\.06\): triple word error 1 "):
+            glue(2, [0.06, 0.06])
 
 
 @pytest.fixture(scope="module")
