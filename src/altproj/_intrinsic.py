@@ -445,8 +445,11 @@ def tilt_error(quarter, s_list, betas):
 
 
 def ratio(x, n):
-    """x / n for a float x and an int n of any size, rounded once to float64."""
-    return float(Fraction(x) / n)
+    """x / n for a float x and an int n of any size, rounded to nearest at 53 bits
+    as float64 rounds, but as a dyadic Fraction with no exponent range to underflow."""
+    q = Fraction(x) / n
+    e = Fraction(2) ** (q.numerator.bit_length() - q.denominator.bit_length())
+    return Fraction(float(q / e)) * e
 
 
 def _triple_error(num, cols, groups):
@@ -470,12 +473,13 @@ def tilt_ladder(k, eps, eta, a, s_cap):
     Top down from s(k) = max(a + 1, smallest s killing beta_{k+1}): beta_j is
     beta_{j+1} 2^-m for the least m >= 1 whose tier survives s(j) within eps,
     and s(j-1) = max(s(j) + 1, the least s with (1 + beta_j^2)^-s < eps).  A
-    float log2 estimate fixes the precision, so the one high-precision
-    logarithm -log(eps) is taken once.
+    float estimate from log2(eps), with -log1p(-eps) taken as eps, fixes the
+    precision, so -log(eps) is taken once at high precision and eps and eta
+    may be Fractions below float64's range.
     """
     top = Fraction(eta) / 4
-    log2_kill = math.log2(max(-math.log(eps), 1e-300))
-    log2_keep = math.log2(-math.log1p(-eps))
+    log2_kill = math.log2(max(-_log2(eps), 1e-300) * math.log(2))
+    log2_keep = _log2(eps)  # -log1p(-eps) ~ eps
     lg_s = max(math.log2(a + 1), log2_kill - 2 * _log2(top))
     lg_b = 2 * _log2(top)
     for _ in range(k - 1):  # beta_k, s(k-1), ..., beta_2, s(1)
@@ -512,7 +516,7 @@ def _tilt_steps(num, k, eps, top, a, s_cap):
     for j in range(k, 0, -1):
         s, upper = s_exp[j], betas[j + 1]
         # s beta^2 ~ keep at the boundary: start there, then step to the least m
-        m = max(1, math.ceil((math.log2(s) + 2 * _log2(upper) - math.log2(float(keep))) / 2))
+        m = max(1, math.ceil((math.log2(s) + 2 * _log2(upper) - _log2(eps)) / 2))
         while not keeps(s, upper / 2 ** m):
             m += 1
         while m > 1 and keeps(s, upper / 2 ** (m - 1)):

@@ -39,9 +39,10 @@ closed forms that lose nothing to cancellation:
   sin^2(pi (j - i) / 2k) / alpha_i^2); a trial perturbation reduces to the
   2x2 Gram matrix G = W^T P_X W, because P_X P_W P_X = A A^T with A = P_X W
   has rank 2 and (A A^T)^r = A G^(r-1) A^T;
-* every tilt beta_j = (eta/4) 2^-m is an exact dyadic, P_X P_Y P_X is
-  1 / (1 + beta_j^2) on chain tier j, and each exponent s(j) is the exact
-  minimal integer of a scalar inequality;
+* every tilt beta_j = (eta/4) 2^-m is an exact dyadic (eta and the ladder's
+  eps are quotients eps/|phi| kept as 53-bit dyadic Fractions, which cannot
+  underflow), P_X P_Y P_X is 1 / (1 + beta_j^2) on chain tier j, and each
+  exponent s(j) is the exact minimal integer of a scalar inequality;
 * a glued word acts on the chain spaces of its triple's group plus the lines
   e_1..e_{K+1} that the other group's tilts touch, so each sandwich power
   (B C B)^r reduces to the power of a (K+1) x (K+1) matrix.
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -333,12 +335,15 @@ def replace_projection(chain, x_space, e_space, eps, eta, a, s_cap=None):
 class TripleResult:
     """Two nearly parallel subspaces X, Y and a word psi over {W, X, Y} carrying
     u to within 3*eps of v; W = span{u, v} is the plane of ``quarter``, and Y
-    is the checked float64 view of ``_tilt_view`` or ``Unrepresentable``."""
+    is the checked float64 view of ``_tilt_view`` or ``Unrepresentable``.
+    ``eta_achieved`` is ||P_X - P_Y|| as a float or, where the top tilt beta
+    is below float64's normal range, beta itself: exact, and the gap to
+    relative beta^2/2, so it never reads 0.0 for distinct X and Y."""
 
     X: linalg.Subspace
     Y: linalg.Subspace
     psi: Word = field(repr=False)
-    eta_achieved: float
+    eta_achieved: float | Fraction
     achieved_error: float
     s: list = field(repr=False)
     betas: list = field(repr=False)
@@ -349,9 +354,9 @@ def build_triple(e_space, x_space, u, v, eps, eta, r_cap=None, s_cap=None):
     """Compose the rotation word with the chain replacement.
 
     Runs ``quarter_circle`` at accuracy ``eps``, then the chain replacement
-    at accuracy eps/|phi| (rounded to float64), and substitutes each chain
-    letter b_j of phi by the sandwich block (a2 a3 a2)^s(j) to obtain psi
-    over the three letters {a1 = W, a2 = X, a3 = Y}.
+    at accuracy eps/|phi| (rounded to 53 bits, as a dyadic Fraction that
+    cannot underflow), and substitutes each chain letter b_j of phi by the
+    sandwich block (a2 a3 a2)^s(j) to obtain psi over {a1 = W, a2 = X, a3 = Y}.
     """
     return _extend(quarter_circle(x_space, u, v, eps, r_cap=r_cap), e_space, x_space, eps, eta, s_cap)
 
@@ -363,10 +368,7 @@ def _extend(qc, e_space, x_space, eps, eta, s_cap):
     _check_room(x_space, e_space)
     if eta <= 0:
         raise ValueError("eta must be positive")
-    sub_eps = exact.ratio(eps, qc.phi.length)
-    if sub_eps < np.finfo(float).tiny:
-        raise ArithmeticError(f"eps/|phi| = {sub_eps!r} underflows float64")
-    s_exp, betas = exact.tilt_ladder(qc.k, sub_eps, eta, 1, s_cap)
+    s_exp, betas = exact.tilt_ladder(qc.k, exact.ratio(eps, qc.phi.length), eta, 1, s_cap)
 
     block = Word.from_letters(3, [2, 3, 2])
     mapping = {1: 1}
@@ -378,9 +380,10 @@ def _extend(qc, e_space, x_space, eps, eta, s_cap):
     achieved = exact.tilt_error(qc, s_exp, betas)
     if achieved >= 3.0 * eps:
         raise ArithmeticError(f"triple word error {achieved:.6g} did not meet 3*eps = {3 * eps:.6g}")
+    beta = betas[-1]
     return TripleResult(X=x_space, Y=y_space, psi=psi,
-                        eta_achieved=_tilt_gap(betas[-1]), achieved_error=achieved,
-                        s=list(s_exp), betas=list(betas), quarter=qc)
+                        eta_achieved=beta if beta < np.finfo(float).tiny else _tilt_gap(beta),
+                        achieved_error=achieved, s=list(s_exp), betas=list(betas), quarter=qc)
 
 
 # -- gluing -----------------------------------------------------------------------
@@ -426,10 +429,13 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
     seed 0: k = 39 and 79, sum r = 1.2e116 and 3.2e283, s up to 5173 and
     22781 digits, words evaluated at 974 bits (mpmath), checkpoint errors
     0.032 and 0.047 against budgets 0.125 and 0.1875, gap 1.36, in about
-    8 s on a 2-core x86-64 VM.  An exponent beyond ``r_cap`` or ``s_cap``
-    (None: no cap) raises ``ExponentCapExceeded`` tagged with the offending
-    triple; any other ``ArithmeticError`` of a triple's stages is re-raised
-    with its type and the triple named.
+    8 s on a 2-core x86-64 VM.  Triple i's eta is its neighbours' smaller
+    eps/|phi|_W, a dyadic that may lie far below float64's range: 2e-572 for
+    triple 2 at eps = (1/32, 1/64, 1/128), which builds at 1925 bits in about
+    90 s.  An exponent beyond ``r_cap`` or ``s_cap`` (None: no cap) raises
+    ``ExponentCapExceeded`` tagged with the offending triple; any other
+    ``ArithmeticError`` of a triple's stages is re-raised with its type and
+    the triple named.
     """
     epsilons = [float(e) for e in epsilons]
     if K < 2:
@@ -478,18 +484,7 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
     from . import _intrinsic as exact
 
     deltas = [exact.ratio(epsilons[i], quarters[i].phi.letter_count(1)) for i in range(K)]
-    for i, delta in enumerate(deltas):
-        if delta < np.finfo(float).tiny:
-            neighbours = " and ".join(str(j + 1) for j in (i - 1, i + 1) if 0 <= j < K)
-            raise ArithmeticError(
-                f"triple {i + 1} (eps = {epsilons[i]:.6g}) has |phi|_W = "
-                f"{exact.sci(quarters[i].phi.letter_count(1))}, so eps/|phi|_W underflows "
-                f"float64; it sets eta of triple {neighbours}")
-    etas = []
-    for i in range(K):
-        left = 1.0 if i == 0 else deltas[i - 1]
-        right = math.inf if i == K - 1 else deltas[i + 1]
-        etas.append(min(left, right))
+    etas = [min(deltas[j] for j in (i - 1, i + 1) if 0 <= j < K) for i in range(K)]
 
     triples = [tagged(i, lambda i=i: _extend(
         quarters[i], e_spaces[i], x_spaces[i], epsilons[i], etas[i], s_cap)) for i in range(K)]

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -325,6 +326,23 @@ class TestBuildTriple:
         assert triple.betas == sorted(triple.betas)
         assert triple.betas[-1] == 0.25 / 4.0
 
+    def test_gap_below_float64_range_stays_exact(self, monkeypatch):
+        # a top tilt below float64's normal range must not read as a zero gap
+        from altproj import _intrinsic
+
+        ladder = _intrinsic.tilt_ladder
+
+        def shrunk_ladder(*args):
+            s, betas = ladder(*args)
+            return s, [b / 2**1100 for b in betas]
+
+        monkeypatch.setattr(_intrinsic, "tilt_ladder", shrunk_ladder)
+        monkeypatch.setattr(_intrinsic, "tilt_error", lambda *args: 0.0)
+        triple = build_triple(linalg.Subspace.full(10), coordinate_subspace(10, 5),
+                              np.eye(10)[:, 0], np.eye(10)[:, 1], eps=0.5, eta=0.25, s_cap=10**13)
+        assert triple.eta_achieved == triple.betas[-1] == Fraction(1, 16 * 2**1100)
+        assert isinstance(triple.Y, divergence.Unrepresentable)
+
     def test_tilt_view_is_cross_checked(self, monkeypatch):
         # a tilt gap that disagrees with the principal angles must stop the build
         tilt_gap = divergence._tilt_gap
@@ -332,6 +350,23 @@ class TestBuildTriple:
         with pytest.raises(ArithmeticError, match="disagrees with the tilt structure"):
             build_triple(linalg.Subspace.full(10), coordinate_subspace(10, 5),
                          np.eye(10)[:, 0], np.eye(10)[:, 1], eps=0.5, eta=0.25, s_cap=10**13)
+
+
+class TestRatio:
+    def test_rounds_as_float64_where_float64_is_normal(self):
+        from altproj._intrinsic import ratio
+
+        rng = random.Random(0)
+        checked = 0
+        for _ in range(5000):
+            x = rng.uniform(0.5, 1.0) * 2.0 ** rng.randint(-60, 60)
+            n = rng.randrange(1, 2 ** rng.randint(1, 1100))
+            quotient = float(Fraction(x) / n)
+            if quotient >= np.finfo(float).tiny:
+                exact = ratio(x, n)
+                assert isinstance(exact, Fraction) and exact == Fraction(quotient)
+                checked += 1
+        assert checked > 3000
 
 
 class TestGlue:
@@ -354,22 +389,38 @@ class TestGlue:
         with pytest.raises(ValueError, match="K >= 2"):
             glue(1, [0.01])
 
-    @pytest.mark.parametrize("K, huge, named", [(2, 0, "triple 1 .* eta of triple 2$"),
-                                                 (3, 1, "triple 2 .* eta of triple 1 and 3$")])
-    def test_underflowing_eps_over_phi_is_named(self, monkeypatch, K, huge, named):
-        # |phi|_W = 10^400 drives eps/|phi|_W, the neighbours' eta, below float64
-        calls = []
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_eps_over_phi_below_float64_reaches_the_ladder_exactly(self, monkeypatch, K):
+        # |phi|_W = 10^400 of triple 2 puts eps/|phi|_W, the eta of triple 1,
+        # below float64's range; it must reach the tilt ladder as a positive dyadic
+        from altproj import _intrinsic
+
+        counts = iter([10, 10**400, 10])
 
         def stub_quarter(*args, **kwargs):
-            count = 10**400 if len(calls) == huge else 10
-            calls.append(count)
-            return SimpleNamespace(phi=SimpleNamespace(letter_count=lambda letter: count))
+            count = next(counts)
+            return SimpleNamespace(k=2, phi=SimpleNamespace(letter_count=lambda letter: count,
+                                                            length=count))
+
+        class Reached(Exception):
+            pass
+
+        seen = []
+
+        def stub_ladder(*args):
+            seen.append(args)
+            raise Reached
 
         monkeypatch.setattr(divergence, "quarter_circle", stub_quarter)
-        with pytest.raises(ArithmeticError, match=named) as info:
+        monkeypatch.setattr(_intrinsic, "tilt_ladder", stub_ladder)
+        with pytest.raises(Reached):
             glue(K, [0.04] * K)
-        assert "eps = 0.04" in str(info.value)
-        assert "|phi|_W = 1.000e+400, so eps/|phi|_W underflows float64" in str(info.value)
+        [(_, _, eta, _, _)] = seen
+        quotient = Fraction(0.04) / 10**400
+        assert eta == _intrinsic.ratio(0.04, 10**400)
+        assert isinstance(eta, Fraction) and eta > 0 and float(eta) == 0.0
+        assert eta.denominator & (eta.denominator - 1) == 0
+        assert abs(eta - quotient) <= quotient / 2**53
 
     def test_stage_errors_name_the_triple(self, monkeypatch):
         from altproj import _intrinsic
@@ -425,6 +476,13 @@ class TestGlueEngine:
         for t in construction.triples:
             assert t.quarter.achieved_error.hex() == "0x1.005a34480688bp-4"
             assert t.achieved_error.hex() == "0x1.005a34480688bp-4"
+
+    def test_three_triples_pinned(self):
+        construction = glue(3, [1 / 32] * 3, seed=0)
+        assert [a.hex() for a in construction.achieved] == ["0x1.02dc884cea73cp-5"] * 3
+        assert construction.non_cauchy_gap.hex() == "0x1.59191a6932fedp+0"
+        assert construction.precision == 418
+        assert [max(t.s).bit_length() for t in construction.triples] == [16070] * 3
 
 
 @pytest.fixture(scope="module")
