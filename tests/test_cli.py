@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+import altproj
+from altproj import divergence
 from altproj.cli import main
 
 
@@ -304,6 +306,20 @@ class TestDiverge:
         assert len(rows) == 3
         assert rows[2].split(",")[1] == report["checkpoints"][1]
 
+    def test_checkpoint_trace_measures_distance_to_target(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        code, _, stderr = run_main(capsys, [
+            "diverge", "--K", "2", "--eps", "0.06,0.06", "--out", str(out)])
+        assert code == 0, stderr
+        rows = (tmp_path / "c.json.trace.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "checkpoint,n,norm,err_to_target"
+        errors = [float(row.split(",")[3]) for row in rows[1:]]
+        c = divergence.glue(2, [0.06, 0.06])
+        assert errors == [float(np.linalg.norm(c.checkpoint_states[i] - c.e[i + 1]))
+                          for i in range(2)]
+        # checkpoint 2 carries the error of both words, not word 2's alone (0.0626)
+        assert errors[1] == pytest.approx(0.1213, abs=1e-3)
+
     def test_import_leaves_mpmath_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, altproj.cli; print('mpmath' in sys.modules)"],
@@ -354,3 +370,37 @@ class TestDeterminism:
         second = self.invoke(tmp_path)
         assert first[0] == second[0]
         assert first[1] == second[1]
+
+
+class TestLazyLoading:
+    def child(self, script):
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.splitlines()[-1]
+
+    def test_import_loads_no_subcommand_module(self):
+        unloaded = ["altproj.divergence", "altproj.kaczmarz", "altproj.analysis",
+                    "altproj._intrinsic", "fractions"]
+        script = f"import sys, altproj.cli; print([m for m in {unloaded!r} if m in sys.modules])"
+        assert self.child(script) == "[]"
+
+    def test_run_leaves_divergence_unloaded(self, tmp_path, two_lines):
+        m1, m2 = two_lines
+        script = ("import sys, altproj.cli; "
+                  f"code = altproj.cli.main(['run', '--spaces', {m1!r}, {m2!r}, "
+                  f"'--schedule', 'periodic:1,2', '--x0', '1,2', "
+                  f"'--out', {str(tmp_path / 't.csv')!r}]); "
+                  "print(code, 'altproj.divergence' in sys.modules)")
+        assert self.child(script) == "0 False"
+
+    def test_exports_are_their_submodules_objects(self):
+        # in a fresh interpreter, so every name resolves through the lazy hook
+        script = ("import importlib, sys, altproj; "
+                  "bad = [n for n in altproj.__all__ if getattr(altproj, n) is not "
+                  "getattr(sys.modules[getattr(altproj, n).__module__], n)]; "
+                  "bad += [m for m in ('analysis', 'divergence', 'iteration', 'kaczmarz', "
+                  "'linalg', 'schedules', 'words') "
+                  "if getattr(altproj, m) is not importlib.import_module('altproj.' + m)]; "
+                  "print(bad, set(altproj.__all__) <= set(dir(altproj)), hasattr(altproj, 'nope'))")
+        assert self.child(script) == "[] True False"
+        assert {"run", "Schedule", "glue", "Word", "solve"} <= set(altproj.__all__)
