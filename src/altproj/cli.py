@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -64,6 +65,17 @@ class _Parser(argparse.ArgumentParser):
 
 class InputError(Exception):
     pass
+
+
+def _tolerance(text):
+    """A stopping tolerance: finite and positive, checked before any work starts."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _parse_vector(text):
@@ -280,7 +292,7 @@ def cmd_thirds(args):
 def build_parser():
     parser = _Parser(prog="altproj", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed, echoed in every report")
-    parser.add_argument("--tol", type=float, default=1e-10, help="stopping tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=1e-10, help="stopping tolerance")
     parser.add_argument("--max-steps", type=int, default=100_000, dest="max_steps")
     parser.add_argument("--out", default=None, dest="global_out",
                         help="output path (also accepted after the subcommand)")

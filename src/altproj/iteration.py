@@ -12,13 +12,17 @@ the smallest empirical constant A with
 
 over all recorded pairs n > m >= 1, whose finiteness forces norm convergence.
 
-``run`` takes one Python step per iteration and keeps numpy's per-call cost
-low: ``np.dot`` for the two products and ``math.sqrt(v.dot(v))`` for each
-norm, which give the bits of ``q @ (q.T @ x)`` and ``np.linalg.norm(v)``.
-The norms stay per step on purpose.  Each is one BLAS ``ddot``; a batched
-form such as ``einsum`` or ``norm(axis=1)`` over a chunk of iterates sums
-in another order.  Over 2,900 iterates at n = 28 it changed the last bit of
-502 and 689 rows, and with them the trace CSV.
+``run`` takes one Python step per iteration and does in it only what the
+step must decide: the two products, through the bound methods ``q.dot`` and
+``q.T.dot`` (the dgemv of ``q @ (q.T @ x)`` without ``np.dot``'s dispatcher),
+the increment ``math.sqrt(d.dot(d))`` and the snap rule.  The residual is
+taken in the step only when the increment is below ``stop_tol``, where the
+stop rule reads it.  The iterate norms and residuals are recorded in blocks
+of ``_NORM_BLOCK`` iterates as ``np.sqrt(np.vecdot(X, X))``.  ``vecdot``
+runs the same BLAS ``ddot`` on each row as ``v.dot(v)``, so every recorded
+number keeps the bits of ``np.linalg.norm(v)``.  Other batched forms do not:
+``einsum`` and ``norm(axis=1)`` sum each row in another order, and over
+2,900 iterates at n = 28 they changed the last bit of 502 and 689 rows.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from . import linalg
 #: increments at or below this fraction of ||x_0|| snap the iterate in place,
 #: so numerically-fixed points produce exactly-zero increments downstream
 _SNAP_REL = 1e-14
+
+#: iterates ``run`` holds before recording their norms and residuals at once
+_NORM_BLOCK = 64
 
 #: most entries of pairwise differences ``sakai_constant`` holds at once
 _SAKAI_BLOCK = 2**15
@@ -56,8 +63,8 @@ class RunConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        if not 0 < self.stop_tol < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"stop_tol must be a finite positive number, got {self.stop_tol!r}")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
 
@@ -120,10 +127,10 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
     elif reference is not None:
         ref = linalg.as_vector(reference, dim=n)
 
-    # (Q, Q^T) per subspace, None for the zero subspace; Q^T is a view
-    bases = [(q, q.T) if q.shape[1] else None for q in (s.basis for s in ss)]
+    # a zero subspace has an n x 0 basis, whose products give exact +0.0
+    bases = [(q.dot, q.T.dot) for q in (s.basis for s in ss)]
     snap = _SNAP_REL * (x0_norm or 1.0)
-    dot, sqrt = np.dot, math.sqrt
+    tol, sqrt = cfg.stop_tol, math.sqrt
 
     norms = [x0_norm]
     increments = []
@@ -133,40 +140,51 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
         r = x - ref
         residuals = [sqrt(r.dot(r))]
     stored = [x] if store_iterates else None
+    block = []  # iterates whose norms and residuals are not yet recorded
 
+    def record():
+        xs = np.array(block)
+        norms.extend(np.sqrt(np.vecdot(xs, xs)).tolist())
+        if residuals is not None:
+            xs -= ref
+            residuals.extend(np.sqrt(np.vecdot(xs, xs)).tolist())
+        if stored is not None:
+            stored.extend(block)  # x is never written in place, so no copy
+        block.clear()
+
+    # the residual of x for the stop rule, taken when the rule first reads it
+    # after x moves; None while it is not taken and without a reference
+    res = None if residuals is None else residuals[0]
     converged = False
     quiet = 0
     for j in islice(schedule.indices(), cfg.max_steps):
-        pair = bases[j - 1]
-        x_next = dot(pair[0], dot(pair[1], x)) if pair is not None else np.zeros_like(x)
+        project, project_t = bases[j - 1]
+        x_next = project(project_t(x))
         d = x_next - x
         inc = sqrt(d.dot(d))
-        res = None
         if inc <= snap:  # numerically a fixed point of P_j: x and its norms stand
             inc = 0.0
-            norm = norms[-1]
-            if residuals is not None:
-                res = residuals[-1]
         else:
             x = x_next
-            norm = sqrt(x.dot(x))
-            if residuals is not None:
-                r = x - ref
-                res = sqrt(r.dot(r))
+            res = None
         indices.append(j)
         increments.append(inc)
-        norms.append(norm)
-        if stored is not None:
-            stored.append(x)  # x is never written in place, so no copy
-        if residuals is not None:
-            residuals.append(res)
-        if inc < cfg.stop_tol and (res is None or res < cfg.stop_tol):
-            quiet += 1
-            if quiet >= cfg.window_len:
-                converged = True
-                break
-        else:
-            quiet = 0
+        block.append(x)
+        if len(block) == _NORM_BLOCK:
+            record()
+        if inc < tol:
+            if res is None and ref is not None:
+                r = x - ref
+                res = sqrt(r.dot(r))
+            if res is None or res < tol:
+                quiet += 1
+                if quiet >= cfg.window_len:
+                    converged = True
+                    break
+                continue
+        quiet = 0
+    if block:
+        record()
     exhausted = not converged and len(indices) < cfg.max_steps
 
     return Trace(

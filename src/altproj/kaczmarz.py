@@ -16,6 +16,7 @@ iteration whose fixed line is the equal-thirds configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,8 @@ def solve(system, x0, max_sweeps, tol=1e-10):
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     a, c = system.normals, system.offsets
     x = linalg.as_vector(x0, dim=system.ambient_dim).astype(float, copy=True)
     linalg.start_norm(x)

@@ -1,7 +1,8 @@
 """Shared test setup.
 
 Child interpreters started by the tests import the same altproj as the tests
-do.  The glued construction at the stated budgets is built once per session.
+do.  The glued constructions, at the stated budgets and at relaxed ones,
+are built once per session.
 """
 
 import os
@@ -9,10 +10,11 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import altproj
-from altproj import divergence
+from altproj import divergence, linalg
 
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(altproj.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
@@ -36,3 +38,31 @@ def stated_build():
     except divergence.ExponentCapExceeded as exc:
         pytest.fail(f"construction not realizable at desk scale: {exc}")
     return StatedBuild(construction, time.monotonic() - started)
+
+
+@pytest.fixture(scope="session")
+def construction():
+    """Two triples at the relaxed budgets (0.45, 0.45), glued by ``assemble``.
+
+    ``glue`` refuses these budgets, so the triples are built and assembled
+    by hand.  The result is small enough to step in float64 (n = 19).
+    """
+    eps = [0.45, 0.45]
+    kv = [divergence.k_of_eps(e) for e in eps]
+    dims = [k + 2 for k in kv]
+    slabs = [2 * d - 2 for d in dims]
+    total = 3 + sum(slabs)
+    off = np.cumsum([3] + slabs[:-1])
+    ident = np.eye(total)
+    basis_e = [ident[:, i] for i in range(3)]
+    triples = []
+    for i in range(2):
+        o, slab = int(off[i]), slabs[i]
+        slab_cols = [ident[:, o + c] for c in range(slab)]
+        x_cols = [basis_e[i], basis_e[i + 1]] + slab_cols[:kv[i]]
+        e_cols = x_cols + slab_cols[kv[i]:]
+        x_space = linalg.Subspace(total, np.column_stack(x_cols))
+        e_space = linalg.Subspace(total, np.column_stack(e_cols))
+        triples.append(divergence.build_triple(e_space, x_space, basis_e[i], basis_e[i + 1],
+                                               eps[i], eta=0.2, s_cap=10**14))
+    return divergence.assemble(triples, basis_e, eps)

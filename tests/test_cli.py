@@ -126,6 +126,18 @@ class TestRun:
         errors = [ln for ln in stderr.splitlines() if "error" in ln]
         assert len(errors) == 1 and "x0" in errors[0] and "overflows" in errors[0]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, two_lines, capsys, tol):
+        m1, m2 = two_lines
+        out = tmp_path / "t.csv"
+        code, stdout, stderr = run_main(capsys, [
+            "--tol", tol, "run", "--spaces", m1, m2, "--schedule", "periodic:1,2",
+            "--x0", "1,2", "--out", str(out)])
+        assert code == 1 and stdout == ""
+        errors = [ln for ln in stderr.splitlines() if "error" in ln]
+        assert errors == [f"altproj: error: argument --tol: must be a finite positive number, got '{tol}'"]
+        assert not out.exists()
+
     def test_max_steps_without_convergence_exits_two(self, tmp_path, two_lines, capsys):
         m1, m2 = two_lines
         code, stdout, _ = run_main(capsys, [
@@ -210,6 +222,17 @@ class TestKaczmarz:
         assert report["inputs"]["x0"] == "-1,-4"
         x = [float(v) for v in (tmp_path / "x.txt").read_text().split()]
         assert np.allclose(x, [2.0, 3.0])
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        system = write(tmp_path / "sys.txt", "2 2\n2 1 0 1\n3 1 1 1\n")
+        out = tmp_path / "x.txt"
+        code, stdout, stderr = run_main(capsys, [
+            "--tol", tol, "kaczmarz", system, "--min-norm", "--out", str(out)])
+        assert code == 1 and stdout == ""
+        errors = [ln for ln in stderr.splitlines() if "error" in ln]
+        assert errors == [f"altproj: error: argument --tol: must be a finite positive number, got '{tol}'"]
+        assert list(tmp_path.iterdir()) == [tmp_path / "sys.txt"]
 
     def test_missing_start_exits_one(self, tmp_path, capsys):
         system = write(tmp_path / "sys.txt", "2 1\n2 1 0 1\n")

@@ -13,7 +13,6 @@ from altproj.divergence import (
     BudgetExceeded,
     ExponentCapExceeded,
     GluedConstruction,
-    assemble,
     build_triple,
     glue,
     k_of_eps,
@@ -483,29 +482,6 @@ class TestGlueEngine:
         assert construction.non_cauchy_gap.hex() == "0x1.59191a6932fedp+0"
         assert construction.precision == 418
         assert [max(t.s).bit_length() for t in construction.triples] == [16070] * 3
-
-
-@pytest.fixture(scope="module")
-def construction():
-    eps = [0.45, 0.45]
-    kv = [k_of_eps(e) for e in eps]
-    dims = [k + 2 for k in kv]
-    slabs = [2 * d - 2 for d in dims]
-    total = 3 + sum(slabs)
-    off = np.cumsum([3] + slabs[:-1])
-    ident = np.eye(total)
-    basis_e = [ident[:, i] for i in range(3)]
-    triples = []
-    for i in range(2):
-        o, slab = int(off[i]), slabs[i]
-        slab_cols = [ident[:, o + c] for c in range(slab)]
-        x_cols = [basis_e[i], basis_e[i + 1]] + slab_cols[:kv[i]]
-        e_cols = x_cols + slab_cols[kv[i]:]
-        x_space = linalg.Subspace(total, np.column_stack(x_cols))
-        e_space = linalg.Subspace(total, np.column_stack(e_cols))
-        triples.append(build_triple(e_space, x_space, basis_e[i], basis_e[i + 1],
-                                    eps[i], eta=0.2, s_cap=10**14))
-    return assemble(triples, basis_e, eps)
 
 
 class TestAssemble:

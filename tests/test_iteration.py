@@ -68,6 +68,12 @@ class TestRun:
         with pytest.raises(ValueError, match="alphabet"):
             iteration.run(two_lines(), Schedule.periodic([1, 2, 3]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a NaN tolerance would pass a "<= 0" check and no step could ever stop
+        with pytest.raises(ValueError, match=f"stop_tol must be a finite positive number, got {tol!r}"):
+            RunConfig(stop_tol=tol)
+
 
 class TestTraceInvariants:
     def seeded_traces(self, count=25, seed=17):

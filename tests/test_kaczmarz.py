@@ -69,6 +69,12 @@ class TestHyperplaneProject:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        system = LinearSystem.from_arrays([[1.0, 0.0]], [1.0])
+        with pytest.raises(ValueError, match=f"tol must be a finite positive number, got {tol!r}"):
+            kaczmarz.solve(system, np.zeros(2), max_sweeps=5, tol=tol)
+
     def test_orthogonal_normals_finish_in_one_sweep(self):
         system = LinearSystem.from_arrays(np.eye(2), np.array([2.0, 3.0]))
         result = kaczmarz.solve(system, np.zeros(2), max_sweeps=5, tol=1e-12)

@@ -3,20 +3,23 @@
 ``loop_run`` and ``loop_sakai_constant`` are the straightforward versions: one
 ``emit`` call, ``@`` products and ``np.linalg.norm`` per step, and one
 ``cumsum`` per row of pairs.  The library versions step a schedule cursor,
-reuse the norms of snapped steps, drop repeated states and scan rows in
-blocks; each of those is exact, so every recorded number must match to the
-bit (compared through ``float.hex``).
+record norms and residuals in blocks through ``np.vecdot``, take the stop
+rule's residual only when the increment is small, drop repeated states and
+scan rows in blocks; each of those is exact, so every recorded number must
+match to the bit (compared through ``float.hex``).
 """
 
+import json
 import os
 import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altproj import iteration, linalg
+from altproj import cli, iteration, linalg
 from altproj.iteration import RunConfig, Trace
 from altproj.schedules import Schedule, ScheduleExhausted, parse_schedule
 from altproj.words import Word
@@ -158,13 +161,120 @@ def runs(draw):
     return spaces, draw(schedules(J)), x0, cfg, reference
 
 
+class TestVecdotIsPerRowDot:
+    """``run`` records norms as ``np.vecdot`` over a block of stacked iterates.
+
+    That keeps the trace bits only because ``vecdot`` runs the same ``ddot``
+    on each row as ``v.dot(v)`` on the vector it was copied from.
+    """
+
+    def test_stacked_rows_match_their_own_dot(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 301):
+            # separately allocated vectors, as the iterates of a run are
+            rows = [rng.standard_normal(n) * scale for scale in (1.0, 1e-150, 1e150, 3.0)]
+            rows += [np.zeros(n), rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)]
+            xs = np.array(rows)
+            assert hexes(np.vecdot(xs, xs)) == hexes([v.dot(v) for v in rows])
+            ref = rng.standard_normal(n)
+            xs -= ref
+            assert hexes(np.vecdot(xs, xs)) == hexes([(v - ref).dot(v - ref) for v in rows])
+
+
+def three_planes(rng, n):
+    return [linalg.random_subspace(rng, n, d) for d in (n - 1, n - 2, n - 1)]
+
+
 class TestRunMatchesLoop:
     @settings(max_examples=300, deadline=None)
-    @given(runs(), st.booleans())
-    def test_every_recorded_number_is_identical(self, case, store):
+    @given(runs(), st.booleans(), st.sampled_from([1, 2, 5, iteration._NORM_BLOCK]))
+    def test_every_recorded_number_is_identical(self, case, store, block):
         spaces, schedule, x0, cfg, reference = case
-        assert_same_trace(iteration.run(spaces, schedule, x0, cfg, reference, store),
-                          loop_run(spaces, schedule, x0, cfg, reference, store))
+        with mock.patch.object(iteration, "_NORM_BLOCK", block):
+            new = iteration.run(spaces, schedule, x0, cfg, reference, store)
+        assert_same_trace(new, loop_run(spaces, schedule, x0, cfg, reference, store))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_runs_either_side_of_a_block(self, extra):
+        rng = np.random.default_rng(29)
+        steps = iteration._NORM_BLOCK + extra
+        spaces, x0 = three_planes(rng, 12), rng.standard_normal(12)
+        for reference in ("auto", None):
+            for store in (False, True):
+                cfg = RunConfig(max_steps=steps, stop_tol=1e-300)
+                new = iteration.run(spaces, Schedule.ruler(3), x0, cfg, reference, store)
+                assert new.steps == steps and not new.converged and not new.schedule_exhausted
+                assert_same_trace(new, loop_run(spaces, Schedule.ruler(3), x0, cfg, reference, store))
+
+    def test_run_that_stops_mid_block(self):
+        rng = np.random.default_rng(31)
+        spaces, x0 = three_planes(rng, 8), rng.standard_normal(8)
+        for window in (1, 5):
+            cfg = RunConfig(max_steps=100_000, stop_tol=1e-10, window_len=window)
+            new = iteration.run(spaces, Schedule.periodic([1, 2, 3]), x0, cfg)
+            assert new.converged and new.steps > iteration._NORM_BLOCK
+            assert new.steps % iteration._NORM_BLOCK != 0
+            assert_same_trace(new, loop_run(spaces, Schedule.periodic([1, 2, 3]), x0, cfg))
+
+    def test_snapped_tail_across_a_block_boundary(self):
+        rng = np.random.default_rng(37)
+        spaces, x0 = three_planes(rng, 6), rng.standard_normal(6)
+        block = iteration._NORM_BLOCK
+        # moving steps up to 10 before a block ends, then only letter 3, whose
+        # repeats snap on through the boundary and into the next block
+        moving = [1, 2, 3] * ((block - 10) // 3)
+        letters = moving + [3] * 40
+        assert len(moving) < block < len(letters)
+        schedule = Schedule.explicit(letters, J=3)
+        for reference in ("auto", None, rng.standard_normal(6)):
+            for store in (False, True):
+                # a window longer than the tail, so zero increments never stop the run
+                cfg = RunConfig(max_steps=10_000, stop_tol=1e-300, window_len=41)
+                new = iteration.run(spaces, schedule, x0, cfg, reference, store)
+                assert new.schedule_exhausted and new.steps == len(letters)
+                assert new.increments[len(moving):] == [0.0] * 40
+                assert_same_trace(new, loop_run(spaces, schedule, x0, cfg, reference, store))
+
+    def test_explicit_reference_vector(self):
+        rng = np.random.default_rng(41)
+        spaces, x0 = three_planes(rng, 9), rng.standard_normal(9)
+        reference = rng.standard_normal(9)
+        cfg = RunConfig(max_steps=3 * iteration._NORM_BLOCK + 17, stop_tol=1e-6)
+        new = iteration.run(spaces, Schedule.ruler(3), x0, cfg, reference)
+        assert new.steps == cfg.max_steps  # the residual never falls below stop_tol
+        assert_same_trace(new, loop_run(spaces, Schedule.ruler(3), x0, cfg, reference))
+
+    def test_step_limit_through_the_cli(self, tmp_path, capsys):
+        rng = np.random.default_rng(43)
+        paths = []
+        for i, space in enumerate(three_planes(rng, 7)):
+            paths.append(str(tmp_path / f"m{i}.csv"))
+            np.savetxt(paths[-1], space.basis.T, delimiter=",", fmt="%.17g")
+        x0 = rng.standard_normal(7)
+        steps = 2 * iteration._NORM_BLOCK + 9
+        out = tmp_path / "trace.csv"
+        code = cli.main(["--max-steps", str(steps), "--tol", "1e-300", "run", "--spaces", *paths,
+                         "--schedule", "periodic:1,2,3", "--x0", ",".join(repr(float(v)) for v in x0),
+                         "--out", str(out)])
+        assert code == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["steps_executed"] == steps and report["converged"] is False
+        old = loop_run([linalg.load_subspace(p) for p in paths], Schedule.periodic([1, 2, 3]),
+                       x0, RunConfig(max_steps=steps, stop_tol=1e-300))
+        expected = tmp_path / "expected.csv"
+        cli._write_trace_csv(str(expected), old)
+        assert out.read_bytes() == expected.read_bytes()
+        assert report["final_residual"].hex() == old.residuals[-1].hex()
+
+    def test_glued_schedule_with_stored_iterates(self, construction):
+        c = construction
+        spaces = [c.M1, c.M2, c.M3]
+        cfg = RunConfig(max_steps=7 * iteration._NORM_BLOCK + 5, stop_tol=1e-300)
+        new = iteration.run(spaces, c.schedule, c.e[0], cfg, reference=None, store_iterates=True)
+        assert new.steps == cfg.max_steps
+        assert new.increments.count(0.0) > iteration._NORM_BLOCK  # repeated letters snap
+        assert_same_trace(new, loop_run(spaces, c.schedule, c.e[0], cfg, reference=None,
+                                        store_iterates=True))
 
     def test_file_schedules(self):
         rng = np.random.default_rng(5)
