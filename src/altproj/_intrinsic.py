@@ -8,8 +8,8 @@ Python ints; every other quantity is a scalar at a precision derived from the
 exponents it decides: float64 when that suffices, an mpmath context
 otherwise (mpmath is imported only then).  An integer or an inequality counts
 as decided only beyond its rounding bound, and is recomputed at doubled
-precision otherwise.  ``divergence`` imports this module on first use, so
-importing the package compiles none of it.
+precision otherwise.  ``divergence`` imports this module with itself, so
+importing the package or a module other than ``divergence`` loads none of it.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-
-from .divergence import ExponentCapExceeded
 
 #: bits carried beyond the magnitude of every exponent a computation decides
 _GUARD_BITS = 32
@@ -35,6 +33,16 @@ _MAX_BITS = 1 << 22
 
 #: halvings of alpha tried per rotation stage
 _MAX_HALVINGS = 60
+
+
+class ExponentCapExceeded(RuntimeError):
+    """A power search needs an exponent beyond the configured cap."""
+
+    def __init__(self, message, stage=None, triple=None, required=None):
+        super().__init__(message)
+        self.stage = stage
+        self.triple = triple
+        self.required = required
 
 
 # -- scalar arithmetic at a chosen precision -----------------------------------

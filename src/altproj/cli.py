@@ -14,6 +14,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -32,10 +33,6 @@ FMT = "%.17g"
 #: setting of the interpreter's int-to-str limit (at least 640 digits), so no
 #: report depends on that setting
 _INT_DIGITS = 600
-
-
-def _fmt(value):
-    return FMT % float(value)
 
 
 def _digits(n):
@@ -107,12 +104,14 @@ def _report(payload):
 
 
 def _write_rows(path, header, row_format, rows):
-    """A CSV of ``header`` plus one ``row_format % row`` line per row.
+    """A CSV of ``header`` plus one ``row_format % row`` line per row, to
+    ``path``, or to stderr when it is None.
 
     The lines are streamed, not joined: a joined 10^4-step trace raised the
     benchmark's peak RSS by 3 MB.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with (open(path, "w", encoding="utf-8", newline="\n") if path is not None
+          else contextlib.nullcontext(sys.stderr)) as fh:
         fh.write(header)
         fh.writelines(map(row_format.__mod__, rows))
 
@@ -255,10 +254,10 @@ def cmd_diverge(args):
     _write_rows(trace_path, "checkpoint,n,norm,err_to_target\n", f"%d,%s,{FMT},{FMT}\n", [
         (i, _digits(n_k), np.linalg.norm(state), np.linalg.norm(state - target))
         for i, (n_k, state, target) in enumerate(checkpoints, start=1)])
+    text = json.dumps(report, indent=2, allow_nan=False)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    _report(report)
+        fh.write(text + "\n")
+    print(text)
     return 0
 
 
@@ -267,16 +266,9 @@ def cmd_thirds(args):
 
     positions, bound_ok = kaczmarz.thirds_demo(args.x, args.y, args.z, args.n)
     c = args.x + args.y + args.z
-    lines = ["k,left,right,left_dev,right_dev"]
-    for k, (left, right) in enumerate(positions):
-        lines.append(f"{k},{_fmt(left)},{_fmt(right)},"
-                     f"{_fmt(abs(left - c / 3.0))},{_fmt(abs(right - 2.0 * c / 3.0))}")
-    table = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table + "\n")
-    else:
-        print(table, file=sys.stderr)
+    _write_rows(args.out or None, "k,left,right,left_dev,right_dev\n", f"%d,{FMT},{FMT},{FMT},{FMT}\n",
+                [(k, left, right, abs(left - c / 3.0), abs(right - 2.0 * c / 3.0))
+                 for k, (left, right) in enumerate(positions)])
     _report({
         "command": "thirds",
         "inputs": {"x": args.x, "y": args.y, "z": args.z, "n": args.n, "seed": args.seed},
@@ -353,12 +345,13 @@ def build_parser():
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
-def _attach_negative_x0(argv):
-    """``--x0 -1,2`` as ``--x0=-1,2``, the one spelling argparse reads as a value."""
+def _attach_negative_values(argv):
+    """``--opt -1e-10`` as ``--opt=-1e-10``, the one spelling argparse reads as a
+    value for every long option, so the option's own check names the fault."""
     out = []
     for token in argv:
-        if out and out[-1] == "--x0" and _NEGATIVE_VALUE.match(token):
-            out[-1] = f"--x0={token}"
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
         else:
             out.append(token)
     return out
@@ -366,7 +359,7 @@ def _attach_negative_x0(argv):
 
 def main(argv=None):
     parser = build_parser()
-    argv = _attach_negative_x0(sys.argv[1:] if argv is None else list(argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

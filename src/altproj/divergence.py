@@ -48,13 +48,14 @@ closed forms that lose nothing to cancellation:
   (B C B)^r reduces to the power of a (K+1) x (K+1) matrix.
 
 Exponents are exact Python ints.  Everything else is computed, in the private
-module ``_intrinsic`` (imported on first use, so importing the package stays
-light), at a precision derived from the construction -- the bits of the
-exponents it decides plus a guard -- in float64 when that suffices and with
-mpmath otherwise; an integer or an inequality counts as decided only when its
-rounding bound cannot flip it, and is recomputed at doubled precision when it
-can.  Float64 views of the subspaces (the chain, the tilt Y, the glued
-M1..M3) are built wherever float64 resolves them, and every tilt view is
+module ``_intrinsic`` (imported with this module; mpmath still loads only once
+a computation needs more than 53 bits), at a precision derived from the
+construction -- the bits of the exponents it decides plus a guard -- in
+float64 when that suffices and with mpmath otherwise; an integer or an
+inequality counts as decided only when its rounding bound cannot flip it, and
+is recomputed at doubled precision when it can.  Float64 views of the
+subspaces (the chain, the tilt Y, the glued M1..M3) are built wherever
+float64 resolves them, each from one CGS2 pass, and every tilt view is
 cross-checked on its principal angles to X; elsewhere they are
 ``Unrepresentable`` placeholders that say why instead of returning rounded
 subspaces.  The power searches take optional caps and raise
@@ -70,7 +71,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import _intrinsic as exact, linalg
 from .schedules import Schedule
 from .words import Word
 
@@ -84,14 +85,8 @@ FINITE_DIM_CAVEAT = (
 )
 
 
-class ExponentCapExceeded(RuntimeError):
-    """A power search needs an exponent beyond the configured cap."""
-
-    def __init__(self, message, stage=None, triple=None, required=None):
-        super().__init__(message)
-        self.stage = stage
-        self.triple = triple
-        self.required = required
+#: raised by the power searches of ``_intrinsic``; exported from here
+ExponentCapExceeded = exact.ExponentCapExceeded
 
 
 class BudgetExceeded(ValueError):
@@ -170,8 +165,6 @@ def quarter_circle(x_space, u, v, eps, r_cap=None):
     {c = W, b_j = X_j} achieving ||phi u - v|| < 2 eps.  ``r_cap`` (None:
     no cap) bounds the exponents.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
     k = k_of_eps(eps)
     n = x_space.ambient_dim
     u = linalg.as_vector(u, dim=n)
@@ -185,8 +178,6 @@ def quarter_circle(x_space, u, v, eps, r_cap=None):
         raise ValueError("u and v must be orthogonal")
     if x_space.dim < k + 2:
         raise ValueError(f"subspace dimension {x_space.dim} too small: need k + 2 = {k + 2}")
-
-    from . import _intrinsic as exact
 
     alphas, r_list = exact.rotation_ladder(k, eps, r_cap)
 
@@ -213,23 +204,21 @@ def quarter_circle(x_space, u, v, eps, r_cap=None):
 
 
 def _chain_views(h, z, alphas, n):
-    """Float64 chain X_j = span{h_i + alpha_i z_i : i <= j}, where float64 resolves it."""
-    from . import _intrinsic as exact
+    """Float64 chain X_j = span{h_i + alpha_i z_i : i <= j}, where float64 resolves it.
 
+    One CGS2 pass keeps the column order, so X_j is the prefix of j + 1 columns.
+    """
     k = len(z)
     smallest = min(alphas[:k])
     if smallest <= _VIEW_RESOLUTION:
         reason = f"chain perturbation alpha = {exact.sci(smallest)} is below float64 resolution"
         return [Unrepresentable(reason) for _ in range(k)]
     perturbed = [h[i] + float(alphas[i]) * z[i] for i in range(k)] + [h[k]]
-    chain = []
-    for j in range(1, k + 1):
-        x_j = linalg.orthonormalize(perturbed[:j + 1], ambient_dim=n)
-        if x_j.dim != j + 1:
-            reason = f"chain member {j} collapsed to dimension {x_j.dim} in float64"
-            return [Unrepresentable(reason) for _ in range(k)]
-        chain.append(x_j)
-    return chain
+    basis = linalg.orthonormalize(perturbed, ambient_dim=n).basis
+    if basis.shape[1] != k + 1:
+        reason = f"the chain collapsed to dimension {basis.shape[1]} < k + 1 = {k + 1} in float64"
+        return [Unrepresentable(reason) for _ in range(k)]
+    return [linalg.Subspace(n, basis[:, :j + 1]) for j in range(1, k + 1)]
 
 
 # -- chain replacement ------------------------------------------------------------
@@ -242,23 +231,20 @@ def _tilt_view(chain, x_space, e_space, betas):
     the chain tier of e_i) and w_i are orthonormal in E orthogonal to X.  The
     view's principal angles to X are cross-checked: the largest sine must be
     ``_tilt_gap`` of the largest gamma, and the smallest must be positive.
+    The adapted basis is one CGS2 pass over the stacked bases of the chain
+    and X; the tier sizes are the steps in dimension along the chain.
     """
-    from . import _intrinsic as exact
-
     for member in chain:
         if isinstance(member, Unrepresentable):
             return member
     if min(betas) <= _VIEW_RESOLUTION:
         return Unrepresentable(f"tilt beta_1 = {exact.sci(min(betas))} is below float64 resolution")
     n = x_space.ambient_dim
-    adapted = linalg.Subspace.zero(n)
-    tier_sizes = []
-    for s in list(chain) + [x_space]:
-        grown = linalg.subspace_sum(adapted, s)
-        tier_sizes.append(grown.dim - adapted.dim)
-        adapted = grown
+    nested = list(chain) + [x_space]
+    adapted = linalg.orthonormalize(np.hstack([s.basis for s in nested]).T, ambient_dim=n)
     if adapted.dim != x_space.dim:
         raise ValueError("chain basis extension does not fill the top subspace")
+    tier_sizes = np.diff([0] + [s.dim for s in nested])
     pool = linalg.intersect([linalg.complement(x_space), e_space])
     w = pool.basis[:, :x_space.dim]
     gammas = np.repeat([float(b) for b in betas], tier_sizes)
@@ -275,14 +261,6 @@ def _tilt_gap(gamma):
     """||P_X - P_Y|| = gamma / sqrt(1 + gamma^2) for the largest tilt gamma."""
     gamma = float(gamma)
     return gamma / math.sqrt(1.0 + gamma * gamma)
-
-
-def _check_room(x_space, e_space):
-    if not linalg.contains(e_space, x_space, tol=1e-8):
-        raise ValueError("the top subspace must lie inside the enclosing space")
-    if e_space.dim - x_space.dim < x_space.dim:
-        raise ValueError(f"need dim(X-perp within E) >= dim X = {x_space.dim}, "
-                         f"have {e_space.dim - x_space.dim}")
 
 
 def replace_projection(chain, x_space, e_space, eps, eta, a, s_cap=None):
@@ -304,8 +282,9 @@ def replace_projection(chain, x_space, e_space, eps, eta, a, s_cap=None):
     decided exactly; ||P_X - P_Y|| = max gamma/sqrt(1 + gamma^2) and, as every
     gamma_i > 0, X and Y meet only at the origin.  Y is a float64 view where
     float64 resolves the tilts (and is then cross-checked on its principal
-    angles to X), an ``Unrepresentable`` placeholder elsewhere.  ``s_cap``
-    (None: no cap) bounds the exponents.
+    angles to X), an ``Unrepresentable`` placeholder elsewhere.  The nesting
+    check skips ``Unrepresentable`` chain members, whose exact coordinates
+    nest by construction.  ``s_cap`` (None: no cap) bounds the exponents.
     """
     if eps <= 0 or eta <= 0:
         raise ValueError("eps and eta must be positive")
@@ -316,14 +295,15 @@ def replace_projection(chain, x_space, e_space, eps, eta, a, s_cap=None):
     chain = list(chain)
     if not chain:
         raise ValueError("chain must be non-empty")
-    nested = chain + [x_space]
-    for inner, outer in zip(nested, nested[1:]):
+    views = [s for s in chain if not isinstance(s, Unrepresentable)] + [x_space]
+    for inner, outer in zip(views, views[1:]):
         if not linalg.contains(outer, inner, tol=1e-8):
             raise ValueError("chain members must be nested inside the top subspace")
-    _check_room(x_space, e_space)
-
-    from . import _intrinsic as exact
-
+    if not linalg.contains(e_space, x_space, tol=1e-8):
+        raise ValueError("the top subspace must lie inside the enclosing space")
+    if e_space.dim - x_space.dim < x_space.dim:
+        raise ValueError(f"need dim(X-perp within E) >= dim X = {x_space.dim}, "
+                         f"have {e_space.dim - x_space.dim}")
     s_exp, betas = exact.tilt_ladder(len(chain), eps, eta, a, s_cap)
     return _tilt_view(chain, x_space, e_space, betas), s_exp, betas
 
@@ -363,19 +343,14 @@ def build_triple(e_space, x_space, u, v, eps, eta, r_cap=None, s_cap=None):
 
 def _extend(qc, e_space, x_space, eps, eta, s_cap):
     """The chain replacement and psi of ``build_triple`` on the quarter circle ``qc``."""
-    from . import _intrinsic as exact
-
-    _check_room(x_space, e_space)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    s_exp, betas = exact.tilt_ladder(qc.k, exact.ratio(eps, qc.phi.length), eta, 1, s_cap)
+    y_space, s_exp, betas = replace_projection(
+        qc.chain, x_space, e_space, exact.ratio(eps, qc.phi.length), eta, 1, s_cap)
 
     block = Word.from_letters(3, [2, 3, 2])
     mapping = {1: 1}
     for j in range(1, qc.k + 1):
         mapping[j + 1] = Word.group(block, s_exp[j - 1])
     psi = qc.phi.substitute(mapping, alphabet=3)
-    y_space = _tilt_view(qc.chain, x_space, e_space, betas)
 
     achieved = exact.tilt_error(qc, s_exp, betas)
     if achieved >= 3.0 * eps:
@@ -481,8 +456,6 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
     quarters = [tagged(i, lambda i=i: quarter_circle(
         x_spaces[i], basis_e[i], basis_e[i + 1], epsilons[i], r_cap=r_cap)) for i in range(K)]
 
-    from . import _intrinsic as exact
-
     deltas = [exact.ratio(epsilons[i], quarters[i].phi.letter_count(1)) for i in range(K)]
     etas = [min(deltas[j] for j in (i - 1, i + 1) if 0 <= j < K) for i in range(K)]
 
@@ -546,8 +519,6 @@ def assemble(triples, e_vectors, epsilons):
     for w in words:
         total += w.length
         checkpoints.append(total)
-
-    from . import _intrinsic as exact
 
     apply_word, bits = exact.glued_words(triples, lines)
     unit = [[1.0 if e == c else 0.0 for e in range(K + 1)] for c in range(K + 1)]

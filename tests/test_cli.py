@@ -126,7 +126,7 @@ class TestRun:
         errors = [ln for ln in stderr.splitlines() if "error" in ln]
         assert len(errors) == 1 and "x0" in errors[0] and "overflows" in errors[0]
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "-1e-10"])
     def test_tolerance_must_be_finite_and_positive(self, tmp_path, two_lines, capsys, tol):
         m1, m2 = two_lines
         out = tmp_path / "t.csv"
@@ -362,6 +362,19 @@ class TestThirds:
         rows = out.read_text().splitlines()
         assert rows[0] == "k,left,right,left_dev,right_dev"
         assert len(rows) == 5
+
+    def test_table_bytes_are_pinned(self, tmp_path, capsys):
+        table = ("k,left,right,left_dev,right_dev\n"
+                 "0,0.5,0.80000000000000004,0.16666666666666669,0.13333333333333341\n"
+                 "1,0.375,0.75,0.041666666666666685,0.08333333333333337\n"
+                 "2,0.34375,0.6875,0.010416666666666685,0.02083333333333337\n"
+                 "3,0.3359375,0.671875,0.0026041666666666852,0.0052083333333333703\n")
+        out = tmp_path / "table.csv"
+        run_main(capsys, ["thirds", "0.5", "0.3", "0.2", "--n", "3", "--out", str(out)])
+        assert out.read_bytes() == table.encode()
+        # without --out the same table goes to stderr
+        code, _, stderr = run_main(capsys, ["thirds", "0.5", "0.3", "0.2", "--n", "3"])
+        assert code == 0 and stderr.startswith(table)
 
     def test_zero_iterations_echoes_input(self, tmp_path, capsys):
         code, stdout, _ = run_main(capsys, ["thirds", "0.2", "0.3", "0.5", "--n", "0"])

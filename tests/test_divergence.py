@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import subprocess
@@ -208,6 +209,16 @@ class TestReplaceProjection:
         with pytest.raises(ExponentCapExceeded):
             replace_projection(chain, x, e, eps=1e-3, eta=0.5, a=1, s_cap=10**4)
 
+    def test_unrepresentable_chain_reaches_the_ladder(self):
+        # placeholder members nest by construction: no float64 check reads them
+        from altproj import _intrinsic
+
+        chain = [divergence.Unrepresentable("exact only")] * 2
+        y, s, betas = replace_projection(chain, coordinate_subspace(8, 4), linalg.Subspace.full(8),
+                                         eps=0.1, eta=0.5, a=1)
+        assert isinstance(y, divergence.Unrepresentable) and y.reason == "exact only"
+        assert (s, betas) == _intrinsic.tilt_ladder(2, 0.1, 0.5, 1, None)
+
     @pytest.mark.parametrize("eps, eta", [(8.9e-119, 4.9e-286), (1.6e-286, 2.7e-118)])
     def test_budgets_beyond_float64_certify_the_ladder(self, eps, eta):
         # beta^2 underflows float64 and s passes 2^53 here: the ladder must
@@ -245,6 +256,36 @@ class TestReplaceProjection:
             floor = s[j + 1] + 1 if j + 1 < len(s) else 2
             if s_j > floor:
                 assert survives(s_j - 1, betas[j + 1]) >= eps_mp
+
+
+class TestChainViews:
+    # sha256 of the chain bases of the eps = 0.45 triples, laid out as glue
+    # lays them out, seeds 0-2: one CGS2 pass over the perturbed vectors gives
+    # every prefix X_j bit for bit as orthonormalizing each prefix on its own
+    DIGESTS = {
+        2: "162319957d7dccb67e48f7a869248400603c31ebc07735606867bd82dedaea0e",
+        3: "1c3680f61cb62f2e9cd112c81c6e43d9d15c37537934e5638b02e5c1858071cd",
+        4: "ce905e87d75b7064e2e47fb10bcddef6b9064dfc2d407a892707a928000694d2",
+        5: "40c6058cf2f0d0434ab7a8e7f4d2e01f91e2261e2097a788bf2e798c876f8067",
+    }
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_chain_bases_are_pinned(self, K):
+        digest = hashlib.sha256()
+        k = k_of_eps(0.45)
+        slab = 2 * (k + 2) - 2
+        n = K + 1 + K * slab
+        ident = np.eye(n)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for i in range(K):
+                off = K + 1 + i * slab
+                cols = np.zeros((n, k))
+                cols[off:off + slab] = linalg.random_subspace(rng, slab, slab).basis[:, :k]
+                x = linalg.Subspace(n, np.column_stack([ident[:, i], ident[:, i + 1], cols]))
+                for member in quarter_circle(x, ident[:, i], ident[:, i + 1], 0.45).chain:
+                    digest.update(member.basis.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[K]
 
 
 class TestContractionInequality:
@@ -300,6 +341,18 @@ def triple():
 
 
 class TestBuildTriple:
+    def test_replaces_the_chain_through_replace_projection(self, monkeypatch):
+        calls = []
+        replace = divergence.replace_projection
+
+        def counted(*args):
+            calls.append(args)
+            return replace(*args)
+
+        monkeypatch.setattr(divergence, "replace_projection", counted)
+        build_triple(linalg.Subspace.full(10), coordinate_subspace(10, 5),
+                     np.eye(10)[:, 0], np.eye(10)[:, 1], eps=0.5, eta=0.25, s_cap=10**13)
+        assert len(calls) == 1
 
     def test_error_below_three_eps(self, triple):
         assert triple.achieved_error < 1.5
@@ -398,8 +451,9 @@ class TestGlue:
 
         def stub_quarter(*args, **kwargs):
             count = next(counts)
-            return SimpleNamespace(k=2, phi=SimpleNamespace(letter_count=lambda letter: count,
-                                                            length=count))
+            return SimpleNamespace(k=2, chain=[divergence.Unrepresentable("stub")] * 2,
+                                   phi=SimpleNamespace(letter_count=lambda letter: count,
+                                                       length=count))
 
         class Reached(Exception):
             pass
