@@ -132,8 +132,6 @@ def cmd_run(args):
 
     spaces = [linalg.load_subspace(p) for p in args.spaces]
     schedule = schedules.parse_schedule(args.schedule, J=len(spaces))
-    if schedule.J != len(spaces):
-        raise InputError(f"schedule alphabet 1..{schedule.J} does not match {len(spaces)} subspace files")
     x0 = _parse_vector(args.x0)
     cfg = iteration.RunConfig(max_steps=args.max_steps, stop_tol=args.tol)
     trace = iteration.run(spaces, schedule, x0, cfg, reference="auto")

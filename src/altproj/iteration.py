@@ -216,7 +216,7 @@ def kakutani_gaps(subspaces, x0, n_max):
 
     def cycle(v):
         for q in bases:
-            v = q @ (q.T @ v) if q.shape[1] else np.zeros_like(v)
+            v = q @ (q.T @ v)
         return v
 
     gaps = []

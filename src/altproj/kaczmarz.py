@@ -194,7 +194,7 @@ def load_system(path, dense=False):
             if rows is None:
                 rows = np.empty((len(lines), len(vals)))
             elif len(vals) != rows.shape[1]:
-                raise ValueError(f"{path}: dense rows have unequal lengths")
+                raise ValueError(f"{path}:{no}: expected {rows.shape[1]} entries, got {len(vals)}")
             rows[i] = vals
         return LinearSystem.from_arrays(rows[:, :-1], rows[:, -1])
     no0, header = lines[0]

@@ -60,7 +60,9 @@ def start_norm(x0):
 class Subspace:
     """A subspace of R^n held as an ``n x d`` matrix with orthonormal columns.
 
-    ``d = 0`` encodes the zero subspace {0}; ``d = n`` the full space.
+    ``d = 0`` encodes the zero subspace {0}; ``d = n`` the full space.  An
+    ``n x 0`` basis gives exact +0.0 from every product, and the complete QR
+    of it is the identity, so no primitive treats the zero subspace apart.
     """
 
     ambient_dim: int
@@ -73,10 +75,8 @@ class Subspace:
             raise ValueError(f"basis rows {n} do not match ambient dimension {self.ambient_dim}")
         if d > n:
             raise ValueError(f"basis has {d} columns in ambient dimension {n}")
-        if d:
-            gram = b.T @ b
-            if np.max(np.abs(gram - np.eye(d))) > BASIS_ORTHO_TOL:
-                raise ValueError("basis columns are not orthonormal")
+        if np.max(np.abs(b.T @ b - np.eye(d)), initial=0.0) > BASIS_ORTHO_TOL:
+            raise ValueError("basis columns are not orthonormal")
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
@@ -142,27 +142,18 @@ def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
 def project(s, x):
     """Orthogonal projection of ``x`` onto the subspace ``s``: Q (Q^T x)."""
     x = as_vector(x, dim=s.ambient_dim)
-    if s.dim == 0:
-        return np.zeros_like(x)
     return s.basis @ (s.basis.T @ x)
 
 
 def projection_matrix(s):
     """The ``n x n`` matrix Q Q^T of the orthogonal projection onto ``s``."""
-    if s.dim == 0:
-        return np.zeros((s.ambient_dim, s.ambient_dim))
     return s.basis @ s.basis.T
 
 
 def complement(s):
     """Orthogonal complement: spans everything orthogonal to ``s``."""
-    n, d = s.ambient_dim, s.dim
-    if d == 0:
-        return Subspace.full(n)
-    if d == n:
-        return Subspace.zero(n)
     q, _ = np.linalg.qr(s.basis, mode="complete")
-    return Subspace(n, q[:, d:])
+    return Subspace(s.ambient_dim, q[:, s.dim:])
 
 
 def subspace_sum(s1, s2):
@@ -243,7 +234,7 @@ def contains(outer, inner, tol=DEFAULT_TOL):
         raise ValueError("subspaces live in different ambient dimensions")
     if inner.dim > outer.dim:
         return False
-    return inner.dim == 0 or float(principal_angles(outer, inner).sin[-1]) <= tol
+    return float(np.max(principal_angles(outer, inner).sin, initial=0.0)) <= tol
 
 
 def subspaces_equal(s1, s2, tol=DEFAULT_TOL):

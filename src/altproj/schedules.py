@@ -101,7 +101,7 @@ class Schedule:
         """Iterator over j_1, j_2, ... in step order, ``emit(1)`` first.
 
         It costs O(1) per step for ``periodic`` and ``ruler`` and O(depth)
-        for ``constructed``, against ``emit``'s bisect at every tree level.
+        for ``constructed``.
         A finite schedule's iterator ends where ``emit`` would raise
         ``ScheduleExhausted``; an infinite one never ends.
         """

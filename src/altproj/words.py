@@ -9,18 +9,16 @@ The non-convergence construction produces words whose flat letter expansion
 is astronomically long (letter-run exponents beyond 10^10), so words are
 stored as nested (factor, exponent) pairs where a factor is either a letter
 or a sub-word.  Lengths and letter counts are computed arithmetically from
-the tree; flat expansions are only materialized on demand for small words.
+the tree and cached per node.  Letters are read by walking the tree, at
+O(depth * factors) per ``letter_at``; no flat letter expansion is built.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_MAX_LETTERS = 10**6  # longest word ``Word.letters`` expands
 
 
 def _exponent_repr(exp):
@@ -36,16 +34,15 @@ class Word:
 
     ``factors`` lists (item, exponent) pairs in written order (leftmost
     first); an item is a letter (int) or a nested Word.  Exponents are >= 1.
-    ``_ends`` holds the cumulative letter counts of the factor blocks in
-    application order (last factor first), from 0 up to the length.
-    ``_counts`` maps each letter to its number of occurrences, and ``_hash``
-    is the hash.  All three are built from the sub-words' cached values, so
-    a tower of shared sub-words costs one pass per distinct node.
+    ``_length`` is the number of letters, ``_counts`` maps each letter to
+    its number of occurrences, and ``_hash`` is the hash.  All three are
+    built from the sub-words' cached values, so a tower of shared sub-words
+    costs one pass per distinct node.
     """
 
     alphabet: int
     factors: tuple
-    _ends: tuple = field(init=False, repr=False, compare=False)
+    _length: int = field(init=False, repr=False, compare=False)
     _counts: dict = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -64,17 +61,17 @@ class Word:
             else:
                 raise ValueError(f"factor must be a letter or Word, got {type(item)}")
         object.__setattr__(self, "factors", tuple((item, int(exp)) for item, exp in self.factors))
-        ends = [0]
+        length = 0
         counts = {}
-        for item, exp in reversed(self.factors):
+        for item, exp in self.factors:
             if isinstance(item, Word):
-                ends.append(ends[-1] + exp * item.length)
+                length += exp * item._length
                 for letter, count in item._counts.items():
                     counts[letter] = counts.get(letter, 0) + exp * count
             else:
-                ends.append(ends[-1] + exp)
+                length += exp
                 counts[int(item)] = counts.get(int(item), 0) + exp
-        object.__setattr__(self, "_ends", tuple(ends))
+        object.__setattr__(self, "_length", length)
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_hash", hash((self.alphabet, self.factors)))
 
@@ -124,7 +121,7 @@ class Word:
     @property
     def length(self):
         """Total number of letters |w| (a Python int, may be huge)."""
-        return self._ends[-1]
+        return self._length
 
     def letter_count(self, letter):
         """Number of occurrences |w_letter| of ``letter``."""
@@ -134,18 +131,22 @@ class Word:
         """Letter at 1-based ``position`` counted from the end of the word.
 
         Position 1 is the letter that acts first on a vector.  Each tree
-        level bisects its block ends, so a query costs O(depth * log(factors))
-        and huge words can still drive a schedule lazily.
+        level walks its factors from the applied end, subtracting block
+        sizes, so a query costs O(depth * factors).  It is the random-access
+        reference for ``application_order``.
         """
-        if not 1 <= position <= self.length:
-            raise IndexError(f"position {position} outside word of length {self.length}")
+        if not 1 <= position <= self._length:
+            raise IndexError(f"position {position} outside word of length {self._length}")
         w, pos = self, position
         while True:
-            i = bisect_left(w._ends, pos)  # w._ends[i - 1] < pos <= w._ends[i]
-            item = w.factors[-i][0]
+            for item, exp in reversed(w.factors):
+                size = exp * item._length if isinstance(item, Word) else exp
+                if pos <= size:
+                    break
+                pos -= size
             if not isinstance(item, Word):
                 return item
-            pos = (pos - w._ends[i - 1] - 1) % item.length + 1
+            pos = (pos - 1) % item._length + 1
             w = item
 
     def application_order(self):
@@ -174,50 +175,23 @@ class Word:
             elif item.length:
                 stack.append([item.factors, exp, len(item.factors)])
 
-    def letters(self):
-        """Flat letter sequence in written order; refuses absurd expansions."""
-        if self.length > _MAX_LETTERS:
-            raise ValueError(f"word of length {self.length} is too long to materialize")
-        out = []
-        for item, exp in self.factors:
-            unit = item.letters() if isinstance(item, Word) else [item]
-            out.extend(unit * exp)
-        return out
-
-    # -- substitution and evaluation ---------------------------------------
+    # -- substitution ------------------------------------------------------
 
     def substitute(self, mapping, alphabet):
         """Replace letters via ``mapping`` (letter -> letter or Word).
 
         Unmapped letters are kept.  ``alphabet`` is the size of the target
-        alphabet.
+        alphabet.  Each node is rebuilt once per call, so a sub-word that
+        is referenced several times stays one shared node.
         """
-        factors = []
-        for item, exp in self.factors:
-            if isinstance(item, Word):
-                factors.append((item.substitute(mapping, alphabet), exp))
-            else:
-                repl = mapping.get(item, item)
-                factors.append((repl, exp))
-        return Word(alphabet, tuple(factors))
+        memo = {}
 
-    def matrix(self, operators):
-        """Dense matrix of the operator product over square matrices of one size.
+        def rebuild(word):
+            out = memo.get(id(word))
+            if out is None:
+                factors = tuple((rebuild(item) if isinstance(item, Word) else mapping.get(item, item), exp)
+                                for item, exp in word.factors)
+                out = memo[id(word)] = Word(alphabet, factors)
+            return out
 
-        The last letter acts first on a vector; the empty word is the
-        identity.  Letter exponents use binary matrix powering, so the
-        matrices need not be idempotent.
-        """
-        ops = [np.asarray(a, dtype=float) for a in operators]
-        if not ops:
-            raise ValueError("a word needs at least one matrix")
-        shape = ops[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in ops):
-            raise ValueError("all matrices must be square and of equal size")
-        if self.alphabet > len(ops):
-            raise ValueError(f"word uses {self.alphabet} letters but only {len(ops)} matrices given")
-        out = np.eye(shape[0])
-        for item, exp in self.factors:
-            base = item.matrix(ops) if isinstance(item, Word) else ops[item - 1]
-            out = out @ np.linalg.matrix_power(base, exp)
-        return out
+        return rebuild(self)

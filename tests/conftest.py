@@ -2,7 +2,7 @@
 
 Child interpreters started by the tests import the same altproj as the tests
 do.  The glued constructions, at the stated budgets and at relaxed ones,
-are built once per session.
+are built once per session.  ``word_matrix`` is the dense word oracle.
 """
 
 import os
@@ -15,9 +15,24 @@ import pytest
 
 import altproj
 from altproj import divergence, linalg
+from altproj.words import Word
 
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(altproj.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+
+
+def word_matrix(word, operators):
+    """Dense matrix of ``word`` over square matrices of one size.
+
+    The last letter acts first on a vector; the empty word is the identity.
+    Letter exponents use binary matrix powering, so the matrices need not
+    be idempotent.
+    """
+    out = np.eye(len(operators[0]))
+    for item, exp in word.factors:
+        base = word_matrix(item, operators) if isinstance(item, Word) else operators[item - 1]
+        out = out @ np.linalg.matrix_power(base, exp)
+    return out
 
 
 class StatedBuild(NamedTuple):

@@ -95,6 +95,15 @@ class TestRun:
         assert code == 1
         assert "bad.csv:2" in stderr
 
+    def test_schedule_alphabet_must_match_the_spaces(self, tmp_path, two_lines, capsys):
+        out = tmp_path / "t.csv"
+        code, stdout, stderr = run_main(capsys, [
+            "run", "--spaces", *two_lines, "--schedule", "ruler:3", "--x0", "1,2", "--out", str(out)])
+        assert code == 1 and stdout == ""
+        errors = [ln for ln in stderr.splitlines() if "error" in ln]
+        assert len(errors) == 1 and "alphabet 1..3" in errors[0]
+        assert not out.exists()
+
     def test_ruler_over_three_spaces(self, tmp_path, capsys):
         m1 = write(tmp_path / "m1.csv", "1,0,0\n0,1,0\n")
         m2 = write(tmp_path / "m2.csv", "0,1,1\n")

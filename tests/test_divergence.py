@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import word_matrix
 
 from altproj import divergence, iteration, linalg
 from altproj.divergence import (
@@ -120,7 +121,7 @@ class TestQuarterCircle:
         # the dense word matrix reproduces the exactly evaluated error
         p_w = linalg.projection_matrix(linalg.orthonormalize([np.eye(5)[:, 0], np.eye(5)[:, 1]]))
         mats = [p_w] + [linalg.projection_matrix(s) for s in half.chain]
-        out = half.phi.matrix(mats) @ np.eye(5)[:, 0]
+        out = word_matrix(half.phi, mats) @ np.eye(5)[:, 0]
         assert np.linalg.norm(out - np.eye(5)[:, 1]) == pytest.approx(half.achieved_error, abs=1e-9)
 
     def test_second_budget_also_builds(self):
@@ -312,7 +313,7 @@ class TestContractionInequality:
                 linalg.random_subspace(rng, n, int(rng.integers(1, n)))) for _ in range(3)]
             letters = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 7)))]
             w = Word.from_letters(3, letters)
-            lhs = linalg.operator_norm(w.matrix(a_mats) @ e_mat - w.matrix(b_mats) @ e_mat)
+            lhs = linalg.operator_norm(word_matrix(w, a_mats) @ e_mat - word_matrix(w, b_mats) @ e_mat)
             rhs = sum(w.letter_count(i + 1) * linalg.operator_norm(a_mats[i] @ e_mat - b_mats[i] @ e_mat)
                       for i in range(3))
             assert lhs <= rhs + 1e-10
@@ -327,7 +328,7 @@ class TestContractionInequality:
                 linalg.random_subspace(rng, n, int(rng.integers(1, n)))) for _ in range(3)]
             letters = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 7)))]
             w = Word.from_letters(3, letters)
-            lhs = linalg.operator_norm(w.matrix(a_mats) - w.matrix(b_mats))
+            lhs = linalg.operator_norm(word_matrix(w, a_mats) - word_matrix(w, b_mats))
             rhs = w.length * max(linalg.operator_norm(a - b) for a, b in zip(a_mats, b_mats))
             assert lhs <= rhs + 1e-10
 
@@ -739,7 +740,7 @@ class TestSakaiBlowup:
         states = []
         x = e[0].copy()
         for w in words:
-            x = w.matrix(projections) @ x
+            x = word_matrix(w, projections) @ x
             states.append(x.copy())
         return GluedConstruction(
             ambient_dim=n, K=2, epsilons=[0.9, 0.9], M1=m1, M2=m2, M3=m3,

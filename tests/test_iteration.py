@@ -136,6 +136,13 @@ class TestKakutaniGaps:
         assert gaps[0] > 0.0
         assert gaps[1:] == pytest.approx([0.0] * 3, abs=1e-13)
 
+    def test_zero_and_full_subspaces_are_exact(self):
+        for n in range(1, 7):
+            x0 = -np.arange(1.0, n + 1.0)
+            zero, full = linalg.Subspace.zero(n), linalg.Subspace.full(n)
+            assert iteration.kakutani_gaps([full, zero], x0, 2) == [float(np.linalg.norm(x0)), 0.0, 0.0]
+            assert iteration.kakutani_gaps([full], x0, 2) == [0.0, 0.0, 0.0]
+
     def test_start_whose_norm_overflows_is_rejected(self):
         # every gap would be inf: ||x0 - T x0|| squares entries near 1e200
         with pytest.raises(ValueError, match="x0 is too large"):

@@ -275,6 +275,13 @@ class TestSystemFiles:
         assert np.allclose(system.matrix(), np.eye(2))
         assert np.allclose(system.rhs(), [2.0, 3.0])
 
+    def test_ragged_dense_row_is_located(self, tmp_path):
+        path = tmp_path / "dense.csv"
+        path.write_text("1,0,2\n# comment\n\n0,1,3,4\n")
+        with pytest.raises(ValueError) as exc:
+            kaczmarz.load_system(path, dense=True)
+        assert str(exc.value) == f"{path}:4: expected 3 entries, got 4"
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("x y\n")

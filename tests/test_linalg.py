@@ -143,6 +143,16 @@ class TestProject:
         s = linalg.Subspace.full(2)
         x = np.array([2.5, -1.25])
         assert np.allclose(linalg.project(s, x), x)
+        for n in range(1, 7):
+            full, x = linalg.Subspace.full(n), -np.arange(1.0, n + 1.0)
+            assert np.array_equal(linalg.project(full, x), x)
+            assert np.array_equal(linalg.projection_matrix(full), np.eye(n))
+
+    def test_zero_subspace_gives_plus_zero(self):
+        for n in range(1, 7):
+            zero, x = linalg.Subspace.zero(n), -np.arange(1.0, n + 1.0)
+            for out, shape in ((linalg.project(zero, x), (n,)), (linalg.projection_matrix(zero), (n, n))):
+                assert np.array_equal(out, np.zeros(shape)) and not np.signbit(out).any()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -159,9 +169,14 @@ class TestComplement:
     def test_zero_subspace_complement_is_full(self):
         c = linalg.complement(linalg.Subspace.zero(2))
         assert linalg.subspaces_equal(c, linalg.Subspace.full(2))
+        for n in range(1, 7):
+            c = linalg.complement(linalg.Subspace.zero(n)).basis
+            assert np.array_equal(c, np.eye(n)) and not np.signbit(c).any()
 
     def test_full_space_complement_is_zero(self):
         assert linalg.complement(linalg.Subspace.full(2)).dim == 0
+        for n in range(1, 7):
+            assert linalg.complement(linalg.Subspace.full(n)).basis.shape == (n, 0)
 
     def test_double_complement_returns_the_subspace(self):
         rng = np.random.default_rng(3)
@@ -279,6 +294,12 @@ class TestContains:
         assert linalg.contains(plane, line(1.0, 1.0, 0.0))
         assert not linalg.contains(line(1.0, 1.0, 0.0), plane, tol=1.0)
         assert not linalg.subspaces_equal(line(1.0, 0.0, 0.0), plane, tol=1.0)
+
+    def test_zero_and_full_subspaces(self):
+        for n in range(1, 7):
+            zero, full = linalg.Subspace.zero(n), linalg.Subspace.full(n)
+            assert linalg.contains(zero, zero, tol=0.0) and linalg.contains(full, zero, tol=0.0)
+            assert linalg.contains(full, full, tol=0.0) and not linalg.contains(zero, full, tol=1.0)
 
 
 class TestIntersect:
