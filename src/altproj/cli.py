@@ -76,6 +76,8 @@ def _tolerance(text):
 
 
 def _parse_vector(text):
+    if "," in text and not all(field.strip() for field in text.split(",")):
+        raise InputError(f"malformed vector {text!r}: empty field between commas")
     try:
         return np.array([float(t) for t in text.replace(",", " ").split()])
     except ValueError as exc:

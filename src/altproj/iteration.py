@@ -45,6 +45,9 @@ _NORM_BLOCK = 64
 #: most entries of pairwise differences ``sakai_constant`` holds at once
 _SAKAI_BLOCK = 2**15
 
+#: smallest normal float64
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass
 class RunConfig:
@@ -237,21 +240,63 @@ def sakai_constant(trace):
     zero increment sum are skipped; 0.0 when no pair has a positive
     denominator.  Needs a trace recorded with ``store_iterates=True``.
 
-    Two reductions keep every ratio's bits and cut the work:
+    The answer has the bits of the per-pair scan: every ratio that can reach
+    the maximum is formed as that scan forms it, and a bound that costs O(1)
+    per pair rules out the rest.
 
-    - A state equal to the one before it, across an increment whose square
-      is exactly 0, is dropped.  Every pair through it repeats a kept pair
-      bit for bit: its differences square to the same values, and adding
-      the 0.0 to a running sum leaves the sum unchanged.  Repeated letters
-      give such states, since the snap rule in ``run`` makes them exact
-      fixed points.
-    - Rows m are scanned in blocks of at most ``_SAKAI_BLOCK`` difference
-      entries.  Row m's window sums are the ``cumsum`` of the increments
-      from x_m on.  In a block that starts at row m0, row m is padded with
-      m - m0 leading zeros, so the block takes one ``cumsum``.  The zeros
-      add exactly, so each sum keeps the bits of the row's own ``cumsum``,
-      and the padded pairs n <= m sum to 0 and are skipped with the other
-      zero-denominator pairs.
+    - **Repeats.** A state equal to the one before it, across an increment
+      whose square is exactly 0, is dropped.  Every pair through it repeats
+      a kept pair bit for bit: its differences square to the same values,
+      and adding the 0.0 to a running sum leaves the sum unchanged.
+      Repeated letters give such states, since the snap rule in ``run``
+      makes them exact fixed points.
+    - **Seed.** The neighbour pairs (m, m+1) are formed exactly first.  On a
+      projection orbit their ratio is 1 up to rounding, so ``best`` starts
+      near 1.
+    - **Screen.** Rows m are taken in blocks of at most ``_SAKAI_BLOCK // 8``
+      pairs, since the screen holds about eight arrays of that size.  Row
+      m's window sums are the ``cumsum`` of the increments from x_m on.  In a
+      block that starts at row m0, row m is padded with m - m0 leading
+      zeros, so the block takes one ``cumsum``; the zeros add exactly, so
+      each sum keeps the bits of the row's own ``cumsum``.  With the squared
+      norms q_m taken once and the Gram entries G_mp = <x_m, x_p> from one
+      ``dgemm`` per block,
+
+          bound = (q_m (1 + s) + q_p (1 + s) - 2 G_mp) (1 + s),  s = (n + 8) 2^-50,
+
+      and a pair is dropped only where ``bound < best * denom``; a NaN or
+      inf bound is kept.  A block is screened only when every ``denom`` and
+      ``best * denom`` in it is a normal float: the smallest increment
+      square and ``best`` times it are at least 2^-1022, and ``best`` times
+      the block's largest sum, the last of its first row, is finite.
+      Rounding is monotone, so no window sum is below the smallest square
+      it holds or above the sum over more terms.  Other blocks take the
+      exact path whole.
+    - **Exact path.** Each pair that is not dropped forms its difference and
+      its ``einsum`` ratio as the scan does, at most ``_SAKAI_BLOCK``
+      entries at a time.
+
+    Why a dropped pair never beats ``best`` (u = 2^-53, g_k = ku / (1 - ku)):
+    in any order, a computed sum of n products a_i b_i is within
+    g_n sum |a_i b_i| of the exact sum (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 3.1), and |a_i b_i| <=
+    (a_i^2 + b_i^2) / 2.  So the exact N = ||x_p - x_m||^2 =
+    ||x_m||^2 + ||x_p||^2 - 2 <x_m, x_p> exceeds the computed
+    q_m + q_p - 2 G_mp by at most 2 g_n (q_m + q_p), and the bound's own
+    roundings before its last product cost at most 5u (q_m + q_p) more.
+    The first factors 1 + s cover both, as s = 8 (n + 8) u, so the bracket
+    is at least N.  The scan's computed numerator is at most
+    (1 + g_{n+2}) N (the rounded differences and their sum), and
+    ``best * denom`` rounds up by at most a factor 1 + u.  The last factor
+    1 + s exceeds (1 + g_{n+2}) (1 + u)^3 with room of more than
+    (7n + 58) u.  So ``bound < best * denom`` puts the scan's numerator
+    below best * denom, and its rounded ratio is at most ``best``.  A
+    product that underflows is off by at most 2^-1075; a pair's bound and
+    numerator hold at most 4n + 4 such products, and that room on a normal
+    best * denom (at least 2^-1022) covers (7n + 58) 2^-1075.  An overflow
+    makes the bound inf or NaN, never -inf.  The Gram identity only rules
+    pairs out and never gives a value, so the tiny tail windows, whose
+    distances it would cancel away, reach the exact path.
     """
     if trace.stored_iterates is None:
         raise ValueError("sakai_constant needs a trace recorded with store_iterates=True")
@@ -265,18 +310,42 @@ def sakai_constant(trace):
     inc2 = inc2[~repeat]
     t, n = xs.shape
     best = 0.0
+
+    def exact(ms, ps, denom):
+        nonlocal best
+        step = max(1, _SAKAI_BLOCK // max(n, 1))
+        for i in range(0, len(ms), step):
+            diff = xs[ps[i:i + step]] - xs[ms[i:i + step]]
+            numer = np.einsum("ij,ij->i", diff, diff)
+            best = max(best, float(np.max(numer / denom[i:i + step])))
+
+    ms = np.flatnonzero(inc2 > 0.0)
+    exact(ms, ms + 1, inc2[ms])
+    grow = 1.0 + (n + 8) * 2.0**-50
+    with np.errstate(over="ignore"):  # an inf norm makes its bounds inf or NaN
+        q_grown = np.vecdot(xs, xs) * grow  # q_m (1 + s)
+    lo = float(np.min(inc2, initial=math.inf))  # every window sum holds an increment square
+    pairs = _SAKAI_BLOCK // 8
+    below = np.tri(max(1, math.isqrt(pairs)), k=-1, dtype=bool)  # below[r, c]: c < r
     m = 0
-    while m < t - 1:
+    while m < t - 2:  # rows with a pair beyond their neighbour
         width = t - 1 - m  # pairs (m, m+1 .. t-1) of the block's first row
-        rows = min(width, max(1, _SAKAI_BLOCK // (width * max(n, 1))))
-        # both quantities are formed per window: differencing global prefix
-        # sums (and the Gram identity for distances) would cancel away the
-        # tiny tail windows against the large early increments
-        diff = (xs[m + 1:t] - xs[m:m + rows, None]).reshape(rows * width, n)
-        numer = np.einsum("ij,ij->i", diff, diff)
-        denom = np.cumsum(np.triu(np.broadcast_to(inc2[m:], (rows, width))), axis=1).ravel()
-        mask = denom > 0.0
-        if np.any(mask):
-            best = max(best, float(np.max(numer[mask] / denom[mask])))
+        rows = min(width - 1, max(1, pairs // width))
+        pad = np.broadcast_to(inc2[m:], (rows, width)).copy()
+        pad[:, :rows][below[:rows, :rows]] = 0.0
+        denom = np.cumsum(pad, axis=1)
+        # denom[0, -1] is the block's largest sum
+        if lo >= _TINY and best * lo >= _TINY and best * float(denom[0, -1]) < math.inf:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = q_grown[m:m + rows, None] + q_grown[m + 1:t]
+                bound += (-2.0 * xs[m:m + rows]) @ xs[m + 1:t].T
+                bound *= grow
+            keep = ~(bound < best * denom)  # NaN and inf bounds are kept
+        else:
+            keep = denom > 0.0
+        keep[:, :rows] &= below.T[:rows, :rows]  # not the padded or neighbour pairs
+        idx = np.flatnonzero(keep)  # pair (m + r, m + 1 + c) at r * width + c
+        if idx.size:
+            exact(m + idx // width, m + 1 + idx % width, denom.ravel()[idx])
         m += rows
     return best

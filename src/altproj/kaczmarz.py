@@ -174,7 +174,8 @@ def load_system(path, dense=False):
     """Read a linear system from a text file.
 
     Sparse format (default): first line ``n J``; then J lines
-    ``c_i k idx_1 val_1 ... idx_k val_k`` with 0-based column indices.
+    ``c_i k idx_1 val_1 ... idx_k val_k`` with k >= 0 distinct 0-based
+    column indices and no further tokens.
     Dense format (``dense=True``): each line ``a_i1,...,a_iN,c_i``.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -210,14 +211,30 @@ def load_system(path, dense=False):
         toks = ln.split()
         try:
             c[i] = float(toks[0])
-            k = int(toks[1])
-            pairs = [(int(toks[2 + 2 * t]), float(toks[3 + 2 * t])) for t in range(k)]
-        except (ValueError, IndexError):
-            raise ValueError(f"{path}:{no}: malformed sparse row") from None
-        for idx, val in pairs:
-            if not 0 <= idx < n:
-                raise ValueError(f"{path}:{no}: column index {idx} outside 0..{n - 1}")
-            a[i, idx] = val
+            k = int(toks[1]) if len(toks) > 1 else -1
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: malformed sparse row: {exc}") from None
+        if k < 0:
+            raise ValueError(f"{path}:{no}: malformed sparse row: needs a pair count k >= 0 after c_i")
+        if len(toks) != 2 + 2 * k:
+            raise ValueError(f"{path}:{no}: malformed sparse row: {k} index-value pairs need "
+                             f"{2 + 2 * k} tokens, got {len(toks)}")
+        try:
+            vals = np.array(toks[3::2], dtype=float)
+            try:
+                idx = np.array(toks[2::2], dtype=np.intp)
+            except OverflowError:  # beyond int64, so outside 0..n-1 below
+                idx = np.array([int(t) for t in toks[2::2]], dtype=object)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: malformed sparse row: {exc}") from None
+        outside = (idx < 0) | (idx >= n)
+        if outside.any():
+            raise ValueError(f"{path}:{no}: column index {idx[outside][0]} outside 0..{n - 1}")
+        ordered = np.sort(idx)
+        twice = ordered[1:][ordered[1:] == ordered[:-1]]
+        if twice.size:
+            raise ValueError(f"{path}:{no}: column index {twice[0]} appears more than once")
+        a[i, idx] = vals
     return LinearSystem.from_arrays(a, c)
 
 

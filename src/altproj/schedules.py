@@ -143,18 +143,29 @@ def quasiperiod_bound(s):
     return max(quasiperiod_index(s, i) for i in range(1, s.J + 1))
 
 
+def _letters(text, where):
+    """Tokens of ``text`` separated by commas or whitespace.
+
+    An empty field between commas is refused, not skipped, so ``1,,2`` does
+    not run as ``1,2``.
+    """
+    if "," in text and not all(field.strip() for field in text.split(",")):
+        raise ValueError(f"{where}: empty field between commas")
+    return text.replace(",", " ").split()
+
+
 def parse_schedule(spec, J=None):
     """Parse a CLI schedule spec: ``periodic:1,2,3`` | ``ruler:J`` | ``file:PATH``."""
     kind, _, rest = spec.partition(":")
     if not rest:
         raise ValueError(f"malformed schedule spec {spec!r}")
     if kind == "periodic":
-        return Schedule.periodic([int(t) for t in rest.replace(",", " ").split()], J=J)
+        return Schedule.periodic([int(t) for t in _letters(rest, f"schedule spec {spec!r}")], J=J)
     if kind == "ruler":
         return Schedule.ruler(int(rest))
     if kind == "file":
         with open(rest, "r", encoding="utf-8") as fh:
-            tokens = fh.read().replace(",", " ").split()
+            tokens = _letters(fh.read(), rest)
         if not tokens:
             raise ValueError(f"{rest}: empty schedule file")
         return Schedule.explicit([int(t) for t in tokens], J=J)

@@ -147,6 +147,31 @@ class TestRun:
         assert errors == [f"altproj: error: argument --tol: must be a finite positive number, got '{tol}'"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("x0, schedule, cause", [
+        ("1,,2", "periodic:1,2", "malformed vector '1,,2': empty field between commas"),
+        ("1,2,", "periodic:1,2", "malformed vector '1,2,': empty field between commas"),
+        ("1,2", "periodic:1,,2", "schedule spec 'periodic:1,,2': empty field between commas"),
+    ])
+    def test_empty_comma_field_exits_one(self, tmp_path, two_lines, capsys, x0, schedule, cause):
+        out = tmp_path / "t.csv"
+        code, stdout, stderr = run_main(capsys, [
+            "run", "--spaces", *two_lines, "--schedule", schedule, "--x0", x0, "--out", str(out)])
+        assert code == 1 and stdout == ""
+        assert [ln for ln in stderr.splitlines() if "error" in ln] == [f"altproj run: error: {cause}"]
+        assert not out.exists()
+
+    def test_whitespace_still_separates_entries(self, tmp_path, two_lines, capsys):
+        reports = []
+        for x0, pattern in (("1,2", "1,2"), ("1 2", "1 2"), ("1, 2", "1, 2")):
+            code, stdout, _ = run_main(capsys, [
+                "run", "--spaces", *two_lines, "--schedule", f"periodic:{pattern}", "--x0", x0,
+                "--out", str(tmp_path / "t.csv")])
+            assert code == 0
+            report = json.loads(stdout)
+            del report["inputs"]
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2]
+
     def test_max_steps_without_convergence_exits_two(self, tmp_path, two_lines, capsys):
         m1, m2 = two_lines
         code, stdout, _ = run_main(capsys, [
@@ -242,6 +267,14 @@ class TestKaczmarz:
         errors = [ln for ln in stderr.splitlines() if "error" in ln]
         assert errors == [f"altproj: error: argument --tol: must be a finite positive number, got '{tol}'"]
         assert list(tmp_path.iterdir()) == [tmp_path / "sys.txt"]
+
+    def test_repeated_column_index_exits_one(self, tmp_path, capsys):
+        system = write(tmp_path / "dup.txt", "3 1\n1.5 2 0 1.0 0 -2.0\n")
+        code, stdout, stderr = run_main(capsys, [
+            "kaczmarz", system, "--min-norm", "--out", str(tmp_path / "x.txt")])
+        assert code == 1 and stdout == ""
+        assert f"{system}:2: column index 0 appears more than once" in stderr
+        assert list(tmp_path.iterdir()) == [tmp_path / "dup.txt"]
 
     def test_missing_start_exits_one(self, tmp_path, capsys):
         system = write(tmp_path / "sys.txt", "2 1\n2 1 0 1\n")

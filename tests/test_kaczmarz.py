@@ -300,6 +300,36 @@ class TestSystemFiles:
         with pytest.raises(ValueError, match="outside"):
             kaczmarz.load_system(path)
 
+    @pytest.mark.parametrize("row, cause", [
+        # tokens past the declared pairs once loaded as (1, 0, -2)
+        ("1.5 2 0 1.0 2 -2.0 1 9.0", "malformed sparse row: 2 index-value pairs need 6 tokens, got 8"),
+        ("1.5 2 0 1.0 2", "malformed sparse row: 2 index-value pairs need 6 tokens, got 5"),
+        # a repeated index once kept its last value: (-2, 0, 0)
+        ("1.5 2 0 1.0 0 -2.0", "column index 0 appears more than once"),
+        ("1.5 3 2 1.0 1 4.0 2 -2.0", "column index 2 appears more than once"),
+        # a negative count was reported as an all-zero normal
+        ("1.5 -1", "malformed sparse row: needs a pair count k >= 0 after c_i"),
+        ("1.5", "malformed sparse row: needs a pair count k >= 0 after c_i"),
+        ("1.5 1 0.5 1.0", "malformed sparse row: invalid literal for int() with base 10: '0.5'"),
+        ("1.5 1 0 x", "malformed sparse row: could not convert string to float: 'x'"),
+        ("1.5 1 99999999999999999999 1.0", "column index 99999999999999999999 outside 0..2"),
+        ("1.5 2 1 1.0 -99999999999999999999 1.0", "column index -99999999999999999999 outside 0..2"),
+    ])
+    def test_malformed_sparse_row_is_located(self, tmp_path, row, cause):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"3 2\n# comment\n-4 1 1 3.0\n{row}\n")
+        with pytest.raises(ValueError) as exc:
+            kaczmarz.load_system(path)
+        assert str(exc.value) == f"{path}:4: {cause}"
+
+    def test_sparse_row_tokens_parse_like_int_and_float(self, tmp_path):
+        path = tmp_path / "system.txt"
+        tokens = [("3", "1e-400"), ("+0", "-2.5"), ("1_0", "1_5"), ("1", "+1.5")]
+        path.write_text(f"12 1\n2 4 {' '.join(i + ' ' + v for i, v in tokens)}\n")
+        expected = np.zeros(12)
+        for i, v in tokens:
+            expected[int(i)] = float(v)
+        assert kaczmarz.load_system(path).matrix().tolist() == [expected.tolist()]
 
 class TestThirds:
     def test_three_iterations_get_within_eleven_millimetres_per_metre(self):

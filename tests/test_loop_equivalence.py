@@ -12,6 +12,8 @@ match to the bit (compared through ``float.hex``).
 import json
 import os
 import tempfile
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -310,6 +312,66 @@ def window_trace(stored, increments):
                  stored_iterates=[np.asarray(v, dtype=float) for v in stored])
 
 
+def creeping_orbit(n, steps, seed):
+    """``ruler:3`` over three hyperplanes whose normals nearly agree.
+
+    The orbit creeps towards their intersection, so no step snaps and all
+    ``steps`` states are distinct.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(n)
+    spaces = []
+    for _ in range(3):
+        normal = base + 0.02 * rng.standard_normal(n)
+        spaces.append(linalg.complement(linalg.Subspace(n, (normal / np.linalg.norm(normal))[:, None])))
+    trace = iteration.run(spaces, Schedule.ruler(3), rng.standard_normal(n),
+                          RunConfig(max_steps=steps, stop_tol=1e-300),
+                          reference=None, store_iterates=True)
+    assert trace.steps == steps and 0.0 not in trace.increments
+    return trace
+
+
+#: entry magnitudes from 1e-150 to 1e150; their products stay normal
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
+
+
+@st.composite
+def windows(draw):
+    """Traces of n = 1..8 and 2..60 states, with increments drawn apart from the states.
+
+    A state may repeat an earlier one.  An increment is 0, one whose square
+    is subnormal, a free magnitude, or the step's own length times 1 or 2,
+    so that its neighbour ratio is about 1, as on a projection orbit, or 1/4.
+    """
+    n = draw(st.integers(1, 8))
+    states = []
+    for _ in range(draw(st.integers(3, 61))):
+        if states and draw(st.integers(0, 3)) == 0:
+            states.append(states[draw(st.integers(0, len(states) - 1))])
+        else:
+            states.append(np.array(draw(st.lists(_ENTRIES, min_size=n, max_size=n))))
+    increments = []
+    for a, b in zip(states, states[1:]):
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            increments.append(0.0)
+        elif kind == 1:
+            increments.append(draw(st.floats(2.3e-162, 1.4e-154)))  # subnormal square
+        elif kind == 2:
+            increments.append(draw(st.floats(1e-150, 1e150)))
+        else:
+            increments.append(float(np.linalg.norm(b - a)) * (kind - 2))
+    return window_trace(states, increments)
+
+
+def outcome(sakai, trace):
+    """The bits of ``sakai(trace)`` and the messages of the warnings it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = sakai(trace)
+    return value.hex(), sorted({str(w.message) for w in caught})
+
+
 class TestSakaiMatchesLoop:
     @settings(max_examples=150, deadline=None)
     @given(runs(), st.sampled_from([1, 7, 64, 2**15]))
@@ -356,13 +418,94 @@ class TestSakaiMatchesLoop:
             assert iteration.sakai_constant(trace) == loop_sakai_constant(trace) == 0.0
 
     def test_sizes_either_side_of_the_block_budget(self):
-        rng = np.random.default_rng(13)
-        # 19 * 5 entries fit one block; 999 * 40 exceed it, so the first
-        # blocks hold one row and later ones several
-        assert 19 * 5 < iteration._SAKAI_BLOCK < 999 * 40
-        for n, steps in ((5, 20), (40, 1000)):
-            spaces = [linalg.random_subspace(rng, n, d) for d in (n - 1, n - 2, n - 1)]
-            trace = iteration.run(spaces, Schedule.ruler(3), rng.standard_normal(n),
-                                  RunConfig(max_steps=steps, stop_tol=1e-300),
-                                  reference=None, store_iterates=True)
+        # a screen block holding every row of t states takes (t - 1) * (t - 2)
+        # padded pairs: 20 states fit one block, 2,000 states need hundreds
+        pairs = iteration._SAKAI_BLOCK // 8
+        for n, steps in ((5, 20), (40, 2000)):
+            trace = creeping_orbit(n, steps, seed=13)
+            assert ((steps - 1) * (steps - 2) <= pairs) == (steps == 20)
             assert iteration.sakai_constant(trace).hex() == loop_sakai_constant(trace).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(windows(), st.sampled_from([1, 7, 64, 2**15]))
+    def test_windows_of_any_scale(self, trace, block):
+        # a ratio over a subnormal denominator may overflow to inf: both
+        # forms then return inf and warn alike, and the screen adds no warning
+        with mock.patch.object(iteration, "_SAKAI_BLOCK", block):
+            assert outcome(iteration.sakai_constant, trace) == outcome(loop_sakai_constant, trace)
+
+    def test_screen_overflow_is_silent(self):
+        # the seed ratio 2^1000 times the window sum 2^80 overflows in the
+        # screen; that pair falls through to the exact path without a warning
+        e = np.eye(2)[0]
+        trace = window_trace([e, 0 * e, e, 3 * e], [1.0, 2.0**-500, 2.0**40])
+        assert iteration.sakai_constant(trace) == loop_sakai_constant(trace) == 2.0**1000
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 2**15])
+    def test_straight_line_passes_the_screen(self, block):
+        # x_k = k v with unit increments: the ratio of (m, p) is p - m, so the
+        # first block's pairs beat the neighbour seed 1 and are formed exactly
+        rng = np.random.default_rng(17)
+        v = rng.standard_normal(3)
+        for v in (np.eye(3)[0], v / np.linalg.norm(v)):
+            trace = window_trace([k * v for k in range(400)], [1.0] * 399)
+            with mock.patch.object(iteration, "_SAKAI_BLOCK", block):
+                value = iteration.sakai_constant(trace)
+            assert value.hex() == loop_sakai_constant(trace).hex()
+            assert value == 398.0 if v[0] == 1.0 else value == pytest.approx(398.0, rel=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 2**15])
+    def test_pair_that_ties_the_neighbour_seed(self, block):
+        # states 0, 4, 5 on an axis with increments 4 and 3: the first
+        # neighbour and the pair across both steps have ratio exactly 1
+        for scale in (2.0**-500, 1.0, 2.0**500):
+            e = np.eye(2)[1] * scale
+            trace = window_trace([e, 0 * e, 4 * e, 5 * e, 5 * e], [1.0, 4 * scale, 3 * scale, 0.0])
+            with mock.patch.object(iteration, "_SAKAI_BLOCK", block):
+                assert iteration.sakai_constant(trace) == loop_sakai_constant(trace) == 1.0
+
+    def test_gram_cancellation_is_covered(self):
+        # a far offset C e_2 makes q_m + q_p - 2 G_mp lose the pair (0, 2)
+        # to rounding (its computed value is 24 where the distance is 25),
+        # while its ratio 25 / (16 (1 + 2^-40)^2 + 9) beats the neighbour
+        # seed 16 / (16 (1 + 2^-40)^2); only the slack s keeps it
+        e, c = np.eye(2)
+        c = c * 2.0**27
+        trace = window_trace([c, c, c + 4 * e, c + 5 * e], [1.0, 4 * (1 + 2.0**-40), 3.0])
+        value = iteration.sakai_constant(trace)
+        assert value.hex() == loop_sakai_constant(trace).hex()
+        assert value == 25 / (16 * (1 + 2.0**-40) ** 2 + 9) > 1 / (1 + 2.0**-40) ** 2
+
+    def test_overflowing_norms_keep_their_pairs(self):
+        # ||x||^2 overflows, so the pair (0, 2) has the bound inf - inf = NaN;
+        # its differences are finite and its ratio 4.5 beats the seed 4
+        a, d = 2.0**520, 2.0**480
+        trace = window_trace([[a], [a], [a + d], [a + 3 * d]], [1.0, d, d])
+        assert outcome(iteration.sakai_constant, trace) == outcome(loop_sakai_constant, trace)
+        assert iteration.sakai_constant(trace) == 4.5
+
+    def test_screen_rules_out_most_pairs(self):
+        trace = creeping_orbit(40, 2000, seed=13)
+        formed = []
+        einsum = np.einsum
+
+        def counting_einsum(*args):
+            out = einsum(*args)
+            formed.append(len(out))
+            return out
+
+        with mock.patch.object(np, "einsum", counting_einsum):
+            value = iteration.sakai_constant(trace)
+        assert value.hex() == loop_sakai_constant(trace).hex()
+        # 1,999 neighbour pairs in the seed, then under 1% of the others
+        assert sum(formed) - 1999 < 1999 * 1998 // 2 // 100
+
+    def test_peak_memory_on_a_long_orbit(self):
+        trace = creeping_orbit(40, 2000, seed=23)
+        tracemalloc.start()
+        try:
+            iteration.sakai_constant(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 1024

@@ -162,6 +162,14 @@ class TestParse:
         with pytest.raises(ScheduleExhausted):
             s.emit(5)
 
+    def test_empty_field_between_commas_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^schedule spec 'periodic:1,,2': empty field between commas$"):
+            parse_schedule("periodic:1,,2")
+        path = tmp_path / "seq.txt"
+        path.write_text("1, 2,\n, 1\n")
+        with pytest.raises(ValueError, match="seq.txt: empty field between commas$"):
+            parse_schedule(f"file:{path}")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):
             parse_schedule("fancy:1")
