@@ -173,7 +173,7 @@ def solve(system, x0, max_sweeps, tol=1e-10):
 def load_system(path, dense=False):
     """Read a linear system from a text file.
 
-    Sparse format (default): first line ``n J``; then J lines
+    Sparse format (default): first line ``n J`` with n, J >= 1; then J lines
     ``c_i k idx_1 val_1 ... idx_k val_k`` with k >= 0 distinct 0-based
     column indices and no further tokens.
     Dense format (``dense=True``): each line ``a_i1,...,a_iN,c_i``.
@@ -203,6 +203,9 @@ def load_system(path, dense=False):
         n, j = (int(t) for t in header.split())
     except ValueError:
         raise ValueError(f"{path}:{no0}: header must be 'n J'") from None
+    if n < 1 or j < 1:
+        raise ValueError(f"{path}:{no0}: header 'n J' needs n >= 1 columns and J >= 1 rows, "
+                         f"got n = {n}, J = {j}")
     if len(lines) - 1 != j:
         raise ValueError(f"{path}: header promises {j} rows, found {len(lines) - 1}")
     a = np.zeros((j, n))

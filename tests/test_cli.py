@@ -276,6 +276,14 @@ class TestKaczmarz:
         assert f"{system}:2: column index 0 appears more than once" in stderr
         assert list(tmp_path.iterdir()) == [tmp_path / "dup.txt"]
 
+    def test_negative_header_dimension_exits_one(self, tmp_path, capsys):
+        system = write(tmp_path / "neg.txt", "-3 1\n1.0 1 0 1.0\n")
+        code, stdout, stderr = run_main(capsys, [
+            "kaczmarz", system, "--min-norm", "--out", str(tmp_path / "x.txt")])
+        assert code == 1 and stdout == ""
+        assert f"{system}:1: header 'n J' needs n >= 1 columns and J >= 1 rows" in stderr
+        assert list(tmp_path.iterdir()) == [tmp_path / "neg.txt"]
+
     def test_missing_start_exits_one(self, tmp_path, capsys):
         system = write(tmp_path / "sys.txt", "2 1\n2 1 0 1\n")
         code, _, stderr = run_main(capsys, ["kaczmarz", system, "--out", str(tmp_path / "x")])

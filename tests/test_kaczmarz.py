@@ -288,6 +288,21 @@ class TestSystemFiles:
         with pytest.raises(ValueError, match="header"):
             kaczmarz.load_system(path)
 
+    @pytest.mark.parametrize("text, got", [
+        # once "negative dimensions are not allowed", without file or line
+        ("-3 1\n1.0 1 0 1.0\n", "n = -3, J = 1"),
+        # once "column index 0 outside 0..-1"
+        ("0 1\n1.0 1 0 1.0\n", "n = 0, J = 1"),
+        # once "system needs at least one row", without file or line
+        ("3 0\n", "n = 3, J = 0"),
+    ])
+    def test_header_dimensions_below_one_are_located(self, tmp_path, text, got):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# comment\n{text}")
+        with pytest.raises(ValueError) as exc:
+            kaczmarz.load_system(path)
+        assert str(exc.value) == f"{path}:2: header 'n J' needs n >= 1 columns and J >= 1 rows, got {got}"
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2\n1 1 0 1.0\n")

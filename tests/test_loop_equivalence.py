@@ -2,11 +2,11 @@
 
 ``loop_run`` and ``loop_sakai_constant`` are the straightforward versions: one
 ``emit`` call, ``@`` products and ``np.linalg.norm`` per step, and one
-``cumsum`` per row of pairs.  The library versions step a schedule cursor,
-record norms and residuals in blocks through ``np.vecdot``, take the stop
-rule's residual only when the increment is small, drop repeated states and
-scan rows in blocks; each of those is exact, so every recorded number must
-match to the bit (compared through ``float.hex``).
+``cumsum`` per row of pairs.  The library versions step a schedule cursor
+in blocks, take increments, norms and residuals from each stacked block
+through ``np.vecdot``, cut a block at a snap they did not foresee, drop
+repeated states and scan rows in blocks; each of those is exact, so every
+recorded number must match to the bit (compared through ``float.hex``).
 """
 
 import json
@@ -150,9 +150,13 @@ def runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 9))
     J = draw(st.integers(1, 4))
-    spaces = [linalg.random_subspace(rng, n, draw(st.integers(0, n))) for _ in range(J)]
-    if J >= 2 and draw(st.booleans()):
-        spaces[-1] = spaces[0]  # a repeated subspace: its second projection snaps
+    spaces = []
+    for i in range(J):
+        kind = draw(st.sampled_from(["fresh", "full", "repeat"] if i else ["fresh", "full"]))
+        if kind == "repeat":  # its projection snaps right after the one it repeats
+            spaces.append(spaces[draw(st.integers(0, i - 1))])
+        else:  # a full space moves x only by rounding, so its projection snaps
+            spaces.append(linalg.random_subspace(rng, n, n if kind == "full" else draw(st.integers(0, n))))
     x0 = rng.standard_normal(n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
     cfg = RunConfig(max_steps=draw(st.integers(1, 300)),
                     stop_tol=draw(st.sampled_from([1e-300, 1e-12, 1e-6, 1e-2])),
@@ -304,6 +308,124 @@ class TestRunMatchesLoop:
                 new, old = iteration.run(spaces, schedule, x0, cfg), loop_run(spaces, schedule, x0, cfg)
                 assert new.converged
                 assert_same_trace(new, old)
+
+
+def held_moves(trace, spaces):
+    """Steps of a stored trace that held x although P_j changed its bits.
+
+    Each is given with whether d . d underflowed to 0 there.  Where ``run``
+    did not foresee the snap, it stepped on from the moved state and must
+    cut its block at that step.
+    """
+    out = []
+    for t, (j, inc) in enumerate(zip(trace.indices, trace.increments)):
+        x, q = trace.stored_iterates[t], spaces[j - 1].basis
+        moved = q @ (q.T @ x)
+        if inc == 0.0 and moved.tobytes() != x.tobytes():
+            d = moved - x
+            out.append((t, d.dot(d) == 0.0))
+    return out
+
+
+def check_every_variant(spaces, schedule, x0, cfg):
+    """``run`` against ``loop_run`` for each reference, store flag and block size."""
+    vector = np.random.default_rng(53).standard_normal(spaces[0].ambient_dim)
+    for block in (1, 2, 5, 64):
+        for reference in ("auto", None, vector):
+            for store in (False, True):
+                with mock.patch.object(iteration, "_NORM_BLOCK", block):
+                    new = iteration.run(spaces, schedule, x0, cfg, reference, store)
+                assert_same_trace(new, loop_run(spaces, schedule, x0, cfg, reference, store))
+
+
+class TestBlockCuts:
+    """Steps that snap where ``run`` did not foresee it, so it cuts the block there."""
+
+    @staticmethod
+    def repeat_and_full(rng, n):
+        # letters 1 and 2 are one subspace; letter 4 is the full space, whose
+        # products move x by rounding only
+        a = linalg.random_subspace(rng, n, n - 2)
+        return [a, a, linalg.random_subspace(rng, n, n - 3), linalg.random_subspace(rng, n, n)]
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_snap_at_a_step_of_the_first_block(self, block, where):
+        rng = np.random.default_rng(47)
+        spaces, x0 = self.repeat_and_full(rng, 6), rng.standard_normal(6)
+        at = {"first": 0, "middle": block // 2, "last": block - 1}[where]
+        moving = ([3, 1] * block)[:at]
+        # 2 after 1 repeats its subspace, and 4 after 3 is the full space
+        letters = moving + [2 if moving[-1:] == [1] else 4] + [3, 1, 2, 3, 4, 1, 3, 1] * 8
+        cfg = RunConfig(max_steps=10_000, stop_tol=1e-300, window_len=len(letters))
+        schedule = Schedule.explicit(letters, J=4)
+        snaps = held_moves(loop_run(spaces, schedule, x0, cfg, None, True), spaces)
+        assert snaps[0][0] == at and len(snaps) > 8
+        check_every_variant(spaces, schedule, x0, cfg)
+
+    @pytest.mark.parametrize("max_steps", [4, 100])
+    def test_cut_then_stop_inside_the_restepped_letters(self, max_steps):
+        # letter 3 (the full space) snaps at step 0, letter 1 moves, letter 2
+        # snaps at step 2; from there every step holds x, and a tracked
+        # residual of about 1e-16 lets the window close at step 4
+        rng = np.random.default_rng(59)
+        a = linalg.random_subspace(rng, 5, 3)
+        spaces = [a, a, linalg.random_subspace(rng, 5, 5)]
+        x0, schedule = rng.standard_normal(5), Schedule.explicit([3] + [1, 2] * 30, J=3)
+        cfg = RunConfig(max_steps=max_steps, stop_tol=1e-10, window_len=3)
+        trace = loop_run(spaces, schedule, x0, cfg, None, True)
+        assert [t for t, _ in held_moves(trace, spaces)][:2] == [0, 2]
+        for reference in ("auto", None):
+            trace = iteration.run(spaces, schedule, x0, cfg, reference)
+            assert (trace.steps, trace.converged) == ((5, True) if max_steps == 100 else (4, False))
+        check_every_variant(spaces, schedule, x0, cfg)
+
+    def test_file_schedule_ends_inside_the_restepped_letters(self, tmp_path):
+        rng = np.random.default_rng(61)
+        spaces, x0 = self.repeat_and_full(rng, 5), rng.standard_normal(5)
+        path = tmp_path / "schedule.txt"
+        path.write_text("3,1,2,1,3,4,3\n")
+        schedule = parse_schedule(f"file:{path}", J=4)
+        cfg = RunConfig(max_steps=100, stop_tol=1e-300, window_len=50)
+        trace = loop_run(spaces, schedule, x0, cfg, None, True)
+        # steps 2 and 5 snap unforeseen; steps 3 and 6 follow a snap and are foreseen
+        assert trace.schedule_exhausted and [t for t, _ in held_moves(trace, spaces)] == [2, 3, 5, 6]
+        check_every_variant(spaces, schedule, x0, cfg)
+
+    def test_increment_that_underflows_while_x_moves(self):
+        # at a start of norm about 1e-150, steps below about 1.6e-162 in every
+        # entry square to 0: such a step holds x although x moved
+        rng = np.random.default_rng(4)
+        spaces = [linalg.random_subspace(rng, 5, d) for d in (4, 3, 4)]
+        x0 = rng.standard_normal(5) * 1e-150
+        cfg = RunConfig(max_steps=400, stop_tol=1e-300, window_len=400)
+        schedule = Schedule.periodic([1, 2, 3])
+        snaps = held_moves(loop_run(spaces, schedule, x0, cfg, None, True), spaces)
+        assert len(snaps) > 10 and all(underflow for _, underflow in snaps)
+        check_every_variant(spaces, schedule, x0, cfg)
+
+    @pytest.mark.parametrize("window", [5, 1000])
+    def test_all_snap_tail_of_a_converged_orbit(self, window):
+        rng = np.random.default_rng(60)
+        spaces = [linalg.random_subspace(rng, 6, d) for d in (5, 4, 5)]
+        x0, schedule = rng.standard_normal(6), Schedule.periodic([1, 2, 3])
+        cfg = RunConfig(max_steps=600, stop_tol=1e-300, window_len=window)
+        trace = iteration.run(spaces, schedule, x0, cfg)  # the residual stays above stop_tol
+        # the orbit moves for 59 steps, and every step after those snaps
+        assert trace.steps == 600 and trace.increments[59:] == [0.0] * 541
+        check_every_variant(spaces, schedule, x0, cfg)
+
+    @pytest.mark.parametrize("max_steps", [1, 7])
+    def test_snap_that_changes_only_the_sign_of_a_zero(self, max_steps):
+        # P_1 x0 = (+0, 1, 0) differs from x0 = (-0, 1, 0) in its bits alone;
+        # the step holds x0, -0.0 included, and the run steps on from there
+        e = np.eye(3)
+        spaces = [linalg.Subspace(3, e[:, 1:2]), linalg.Subspace(3, e[:, :2])]
+        x0 = np.array([-0.0, 1.0, 0.0])
+        cfg = RunConfig(max_steps=max_steps, stop_tol=1e-300, window_len=10)
+        trace = iteration.run(spaces, Schedule.periodic([1, 2]), x0, cfg, store_iterates=True)
+        assert trace.increments[0] == 0.0 and np.signbit(trace.stored_iterates[1][0])
+        check_every_variant(spaces, Schedule.periodic([1, 2]), x0, cfg)
 
 
 def window_trace(stored, increments):
