@@ -28,11 +28,13 @@ A step whose increment is at or below the snap threshold holds x.  Where the
 bits of such a step's state moved even so (by a tiny step, or one whose
 ``d . d`` underflows to 0), the block stepped on from the wrong state: it
 ends at that step, which keeps the state before it, and its later letters
-are stepped again.  The next block is half as long, and blocks double again
-after one without a cut.  Two kinds of step nearly always snap, so they take
-their increment and decide their snap as they are stepped: a step whose
-letter repeats the one before it (the construction's glued words), and a
-step after a snapped step (a converged tail).
+are stepped again.  After a cut the next block is half as long, and blocks
+double again after one without a cut.  Three kinds of step nearly always
+snap, so they take their increment and decide their snap as they are
+stepped: a step whose letter repeats the one before it (the construction's
+glued words), a step after a snapped step (a converged tail), and a step
+whose letter cut a block and has not moved x since (a full-space letter, or
+one whose subspace holds the one before it, snaps at every visit).
 """
 
 from __future__ import annotations
@@ -158,6 +160,7 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
     pending = []  # letters after a cut, to be stepped again
     size = _NORM_BLOCK
     last, held = 0, False  # the previous letter, and whether its step snapped
+    cut_by = [False] * (len(ss) + 1)  # letters that cut a block and have not moved x since
     converged = False
     quiet = 0
     while not converged:
@@ -171,11 +174,12 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
         for j in block:
             project, project_t = bases[j - 1]
             x_next = project(project_t(x))
-            if j == last or held:  # a repeat, or after a snap: nearly always a fixed point
+            if j == last or held or cut_by[j]:  # likely a fixed point
                 d = x_next - x
                 held = sqrt(d.dot(d)) <= snap
                 if not held:
                     x = x_next
+                    cut_by[j] = False
             else:
                 x = x_next
                 blind = True
@@ -186,23 +190,26 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
         incs = np.sqrt(np.vecdot(d, d))
         m = len(block)
         low = incs <= snap
+        cut = False
         if blind and low.any():
             # a step at or below snap holds x; where its state moved even so,
             # the block stepped on from the wrong state: it ends at that step,
             # and its later letters are stepped again
             bits = stack.view(np.uint64)
-            cut = np.flatnonzero(low & (bits[1:] != bits[:-1]).any(axis=1))
-            if cut.size:
-                k = int(cut[0])
+            moved = np.flatnonzero(low & (bits[1:] != bits[:-1]).any(axis=1))
+            if moved.size:
+                cut = True
+                k = int(moved[0])
                 m = k + 1
                 pending[:0] = block[m:]
                 x, held, last = xs[k], True, block[k]
+                cut_by[last] = True
                 xs[m] = x
                 stack = stack[:m + 1]
                 stack[m] = x
                 incs = incs[:m]
                 incs[k] = 0.0
-        size = max(size // 2, 1) if m < len(block) else min(2 * size, _NORM_BLOCK)
+        size = max(size // 2, 1) if cut else min(2 * size, _NORM_BLOCK)
         rows = stack[1:]
         quiet_ok = incs < tol
         if residuals is not None:
@@ -210,21 +217,17 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
             res = np.sqrt(np.vecdot(r, r))
             quiet_ok &= res < tol
         # the stop rule in step order: a step that is not quiet resets it
-        quiet_steps = np.flatnonzero(quiet_ok).tolist()
-        if len(quiet_steps) == m and quiet + m < cfg.window_len:
-            quiet += m
+        prev = -1
+        for k in np.flatnonzero(quiet_ok).tolist():
+            quiet = quiet + 1 if k == prev + 1 else 1
+            prev = k
+            if quiet >= cfg.window_len:
+                converged = True
+                m = k + 1
+                break
         else:
-            prev = -1
-            for k in quiet_steps:
-                quiet = quiet + 1 if k == prev + 1 else 1
-                prev = k
-                if quiet >= cfg.window_len:
-                    converged = True
-                    m = k + 1
-                    break
-            else:
-                if prev != m - 1:
-                    quiet = 0
+            if prev != m - 1:
+                quiet = 0
         indices.extend(block[:m])
         increments.extend(incs[:m].tolist())
         rows = rows[:m]

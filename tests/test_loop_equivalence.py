@@ -427,6 +427,47 @@ class TestBlockCuts:
         assert trace.increments[0] == 0.0 and np.signbit(trace.stored_iterates[1][0])
         check_every_variant(spaces, Schedule.periodic([1, 2]), x0, cfg)
 
+    @staticmethod
+    def slow_planes(rng, n):
+        """Three hyperplanes whose normals nearly agree, so an orbit creeps for long."""
+        base = rng.standard_normal(n)
+        out = []
+        for _ in range(3):
+            normal = base + 0.05 * rng.standard_normal(n)
+            out.append(linalg.complement(linalg.Subspace(n, (normal / np.linalg.norm(normal))[:, None])))
+        return out
+
+    @pytest.mark.parametrize("kind", ["nested", "full"])
+    def test_snap_that_recurs_at_one_letter_cuts_one_block(self, kind):
+        # letter 2 snaps after every letter-1 step: its subspace holds letter
+        # 1's, or it is the full space, while letters 1 and 3 keep moving x
+        rng = np.random.default_rng(67)
+        a, b, c = self.slow_planes(rng, 10)
+        spaces = [linalg.intersect([a, b]), a, c] if kind == "nested" else [a, linalg.random_subspace(rng, 10, 10), c]
+        x0, schedule = rng.standard_normal(10), Schedule.periodic([1, 2, 3])
+        cfg = RunConfig(max_steps=600, stop_tol=1e-300, window_len=600)
+        trace = loop_run(spaces, schedule, x0, cfg, None, True)
+        snaps = [t for t, _ in held_moves(trace, spaces)]
+        assert snaps == list(range(1, 600, 3)) and 0.0 not in trace.increments[::3]
+        with mock.patch.object(iteration.np, "concatenate", wraps=np.concatenate) as stacks:
+            iteration.run(spaces, schedule, x0, cfg, None)
+        # the first snap cuts a block; from then on letter 2 decides inline
+        assert stacks.call_count <= 600 // iteration._NORM_BLOCK + 3
+        check_every_variant(spaces, schedule, x0, cfg)
+
+    def test_letter_that_cut_a_block_moves_later(self):
+        # letters 1 and 2 are one subspace: letter 2 snaps after letter 1 and
+        # cuts, then moves after letter 3 while it still decides inline
+        rng = np.random.default_rng(71)
+        a = linalg.random_subspace(rng, 7, 5)
+        spaces = [a, a, linalg.random_subspace(rng, 7, 4), linalg.random_subspace(rng, 7, 6)]
+        x0, schedule = rng.standard_normal(7), Schedule.explicit([1, 2, 3, 2, 4, 3] * 40, J=4)
+        cfg = RunConfig(max_steps=1000, stop_tol=1e-300, window_len=1000)
+        trace = loop_run(spaces, schedule, x0, cfg, None, True)
+        assert [t for t, _ in held_moves(trace, spaces)][:2] == [1, 7]
+        assert trace.increments[3] > 0.0 and trace.increments[9] > 0.0
+        check_every_variant(spaces, schedule, x0, cfg)
+
 
 def window_trace(stored, increments):
     return Trace(indices=[1] * len(increments), iterate_norms=[0.0] * len(stored),
