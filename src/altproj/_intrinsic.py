@@ -561,9 +561,10 @@ def glued_words(triples, lines):
     plus the lines; the plane letter compresses, on the range of B, to the
     e-lines: S_l' on {e_l', e_l'+1} for each triple l' of the other group,
     plus its lines.  Returns the function mapping (i, [(xe, xz), ...]) to
-    word i's images of those states as float lists, evaluated in one pass,
-    and the bits it evaluates at.  Each triple's tier frame is the one its
-    quarter circle built, unless the words need another precision.
+    word i's images of those states in one pass, and the context ``num`` it
+    evaluates in; states go in and come out as ``num`` scalars, so an orbit
+    keeps its working precision from word to word.  Each triple's tier frame
+    is the one its quarter circle built, unless the words need another one.
     """
     K = len(triples)
     bits = max(evaluation_bits(t.quarter.r, t.s, t.betas) for t in triples)
@@ -594,24 +595,23 @@ def glued_words(triples, lines):
         for xe, xz in states:
             y = []
             for l in members:
-                x_l = [_value(num, x) for x in [xe[l], xe[l + 1]] + list(xz[l])]
+                x_l = [xe[l], xe[l + 1]] + list(xz[l])
                 y.append([sum(c[p] * x_l[p] for p in range(len(c))) for c in frames[l][0]])
-            inputs.append((y, {e: _value(num, xe[e]) for e in lines[tilt]}))
+            inputs.append((y, {e: xe[e] for e in lines[tilt]}))
         t = triples[i]
-        powers = [_value(num, s) for s in t.s]
         groups = [([[_decay(num, power, x) for x in frames[l][1]] for l in members], r)
-                  for power, r in zip(powers, t.quarter.r)]
+                  for power, r in zip([_value(num, s) for s in t.s], t.quarter.r)]
         images = []
         for y, line_vals in _sandwich_powers(num, blocks, lines[tilt], chol, groups, inputs):
-            xe = [0.0] * (K + 1)
-            xz = [[0.0] * tr.quarter.k for tr in triples]
+            xe = [num.mpf(0)] * (K + 1)
+            xz = [[num.mpf(0)] * tr.quarter.k for tr in triples]
             for l, yl in zip(members, y):
                 cols = frames[l][0]
-                x_l = [float(sum(c[p] * yc for c, yc in zip(cols, yl))) for p in range(len(cols))]
+                x_l = [sum(c[p] * yc for c, yc in zip(cols, yl)) for p in range(len(cols))]
                 xe[l], xe[l + 1], xz[l] = x_l[0], x_l[1], x_l[2:]
             for e, val in line_vals.items():
-                xe[e] = float(val)
+                xe[e] = val
             images.append((xe, xz))
         return images
 
-    return apply_word, num.prec
+    return apply_word, num

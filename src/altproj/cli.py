@@ -64,15 +64,21 @@ class InputError(Exception):
     pass
 
 
-def _tolerance(text):
-    """A stopping tolerance: finite and positive, checked before any work starts."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:  # NaN fails both comparisons
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
+def _checked(convert, valid, what):
+    """An argparse type that refuses, before any work starts, text that
+    ``convert`` rejects or whose value is not ``valid``, naming ``what``."""
+    def parse(text):
+        try:
+            if valid(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+_tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")  # NaN fails
+_cap = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _parse_vector(text):
@@ -267,7 +273,7 @@ def cmd_thirds(args):
     positions, bound_ok = kaczmarz.thirds_demo(args.x, args.y, args.z, args.n)
     c = args.x + args.y + args.z
     _write_rows(args.out or None, "k,left,right,left_dev,right_dev\n", f"%d,{FMT},{FMT},{FMT},{FMT}\n",
-                [(k, left, right, abs(left - c / 3.0), abs(right - 2.0 * c / 3.0))
+                [(k, left, right, abs(left - c / 3.0), abs(right - 2.0 * (c / 3.0)))
                  for k, (left, right) in enumerate(positions)])
     _report({
         "command": "thirds",
@@ -321,9 +327,9 @@ def build_parser():
     p.add_argument("--eps", default=None,
                    help="comma list of accuracy budgets (fractions like 1/32 allowed); "
                         "default 2^-(i+4)")
-    p.add_argument("--r-cap", type=int, default=None, dest="r_cap",
+    p.add_argument("--r-cap", type=_cap, default=None, dest="r_cap",
                    help="refuse rotation exponents r above this (default: no cap)")
-    p.add_argument("--s-cap", type=int, default=None, dest="s_cap",
+    p.add_argument("--s-cap", type=_cap, default=None, dest="s_cap",
                    help="refuse tilt exponents s above this (default: no cap)")
     p.add_argument("--sakai", action="store_true",
                    help="also report the checkpoint lower bound on the increment-sum constant")

@@ -68,6 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -370,9 +371,12 @@ class GluedConstruction:
 
     ``words[i]`` moves the iterate from near e_i to near e_{i+1};
     ``checkpoints[i]`` is the 1-based step count after word i has been fully
-    applied; ``achieved[i]`` is the evaluated ||word_i(...) e_i - e_{i+1}||;
-    ``precision`` the bits the words were evaluated at (53 is float64).
-    M2 and M3 are ``Unrepresentable`` where float64 cannot resolve the tilts.
+    applied.  The orbit from e_1 stays at ``precision`` bits (53 is float64)
+    between words; ``checkpoint_states`` are its float64 roundings, while
+    ``achieved[i]`` = ||word_i(...) e_i - e_{i+1}|| and ``non_cauchy_gap``
+    are evaluations at that precision, each rounded once, not enclosures (a
+    +400-bit evaluation moves them by up to 3e-12 relative).  M2 and M3 are
+    ``Unrepresentable`` where float64 cannot resolve the tilts.
     """
 
     ambient_dim: int
@@ -471,7 +475,8 @@ def assemble(triples, e_vectors, epsilons):
     1, 3, ... are odd) -- the grouping alternates so that the two tilts
     adjacent to triple i live together in the subspace that stands in for
     its plane W_i.  The line spanned by e_1 seeds the group that covers
-    triple 1's plane.  Triple i must carry e_i to e_{i+1}.
+    triple 1's plane.  Triple i must carry e_i to e_{i+1}.  The running state
+    stays in the words' evaluation context from e_1 to the report.
     """
     K = len(triples)
     if K < 2:
@@ -490,71 +495,60 @@ def assemble(triples, e_vectors, epsilons):
             if isinstance(space, Unrepresentable):
                 return space
         cols = [e_vectors[e] for e in lines[parity]]
-        for s in spaces:
-            cols.extend(s.basis[:, j] for j in range(s.dim))
+        cols += [c for s in spaces for c in s.basis.T]
         return linalg.orthonormalize(cols, ambient_dim=n)
 
-    m1 = linalg.orthonormalize(
-        [c for t in triples for c in t.X.basis.T], ambient_dim=n)
-    m2 = union(0)
-    m3 = union(1)
+    m1 = linalg.orthonormalize([c for t in triples for c in t.X.basis.T], ambient_dim=n)
+    m2, m3 = union(0), union(1)
 
     # per-triple letter map {W, X, Y_i} -> global {1 = M1, 2 = M2, 3 = M3}:
     # the tilt letter goes to its own group, the plane letter to the other
-    words = []
-    for i, t in enumerate(triples, start=1):
-        if i % 2 == 0:
-            mapping = {1: 3, 2: 1, 3: 2}   # W -> M3, X -> M1, Y_i -> M2
-        else:
-            mapping = {1: 2, 2: 1, 3: 3}   # W -> M2, X -> M1, Y_i -> M3
-        words.append(t.psi.substitute(mapping, alphabet=3))
+    mappings = ({1: 3, 2: 1, 3: 2},   # even i: W -> M3, X -> M1, Y_i -> M2
+                {1: 2, 2: 1, 3: 3})   # odd i: W -> M2, X -> M1, Y_i -> M3
+    words = [t.psi.substitute(mappings[i % 2], alphabet=3) for i, t in enumerate(triples, start=1)]
 
     full = words[0]
     for w in words[1:]:
         full = w * full  # later words act after earlier ones
     schedule = Schedule.from_word(full, J=3)
 
-    checkpoints = []
-    total = 0
-    for w in words:
-        total += w.length
-        checkpoints.append(total)
+    checkpoints = list(accumulate(w.length for w in words))
 
-    apply_word, bits = exact.glued_words(triples, lines)
-    unit = [[1.0 if e == c else 0.0 for e in range(K + 1)] for c in range(K + 1)]
-    zeros = [[0.0] * t.quarter.k for t in triples]
+    apply_word, num = exact.glued_words(triples, lines)
+    unit = [[num.mpf(int(e == c)) for e in range(K + 1)] for c in range(K + 1)]
+    zeros = [[num.mpf(0)] * t.quarter.k for t in triples]
+
+    def distance(a, b):  # M1's frame is orthonormal; pow(d, 2) and d * d can differ in float64
+        return float(num.sqrt(sum((x - y) ** 2 for x, y in zip(a[0], b[0]))
+                              + sum((x - y) * (x - y) for za, zb in zip(a[1], b[1])
+                                    for x, y in zip(za, zb))))
+
     achieved = []
-    states = []
-    state = (unit[0], zeros)
+    states = [(unit[0], zeros)]
     for i in range(K):
         # one pass moves the running state and checks the word from e_i
-        state, (xe, xz) = apply_word(i, [state, (unit[i], zeros)])
-        states.append(_ambient(state, e_vectors, triples, n))
-        err = math.sqrt(sum((x - y) ** 2 for x, y in zip(xe, unit[i + 1]))
-                        + sum(x * x for zl in xz for x in zl))
-        achieved.append(err)
-        if err >= 4.0 * epsilons[i]:
+        state, image = apply_word(i, [states[-1], (unit[i], zeros)])
+        states.append(state)
+        achieved.append(distance(image, (unit[i + 1], zeros)))
+        if achieved[-1] >= 4.0 * epsilons[i]:
             raise ArithmeticError(
-                f"glued word {i + 1} error {err:.6g} did not stay below "
+                f"glued word {i + 1} error {achieved[-1]:.6g} did not stay below "
                 f"4*eps = {4 * epsilons[i]:.6g}")
-    gap = float(np.linalg.norm(states[0] - states[1])) if len(states) >= 2 else 0.0
 
     return GluedConstruction(
         ambient_dim=n, K=K, epsilons=list(epsilons), M1=m1, M2=m2, M3=m3,
         e=[np.asarray(e, dtype=float) for e in e_vectors], words=words,
         schedule=schedule, checkpoints=checkpoints, achieved=achieved,
-        checkpoint_states=states, non_cauchy_gap=gap, triples=triples, precision=bits)
+        checkpoint_states=[_ambient(s, e_vectors, triples, n) for s in states[1:]],
+        non_cauchy_gap=distance(states[1], states[2]), triples=triples, precision=num.prec)
 
 
 def _ambient(state, e_vectors, triples, n):
-    """A state in M1 coordinates as a float64 vector of R^n."""
-    xe, xz = state
+    """A state in M1 coordinates, rounded to a float64 vector of R^n."""
     out = np.zeros(n)
-    for coef, vec in zip(xe, e_vectors):
-        out += coef * np.asarray(vec, dtype=float)
-    for t, zl in zip(triples, xz):
-        for coef, vec in zip(zl, t.quarter.z):
-            out += coef * vec
+    for coef, vec in zip([*state[0], *(x for zl in state[1] for x in zl)],
+                         [*e_vectors, *(z for t in triples for z in t.quarter.z)]):
+        out += float(coef) * np.asarray(vec, dtype=float)
     return out
 
 

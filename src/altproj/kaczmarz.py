@@ -255,11 +255,11 @@ def thirds_demo(x, y, z, n_iters):
     k = 0..n_iters and whether every deviation stayed within the geometric
     envelopes (2c/3) 4^-k for the left clip and (c/3) 4^(1-k) for the right.
     """
-    if min(x, y, z) <= 0:
-        raise ValueError("section lengths must be positive")
+    c = x + y + z
+    if not (min(x, y, z) > 0 and math.isfinite(c)):  # a NaN length makes c NaN
+        raise ValueError(f"section lengths must be positive with a finite sum: {x!r} + {y!r} + {z!r} = {c!r}")
     if n_iters < 0:
         raise ValueError("n_iters must be >= 0")
-    c = x + y + z
     step = THIRDS_STEP_B @ THIRDS_STEP_A
     v = np.array([x, y, z], dtype=float)
     positions = [(float(v[0]), float(v[0] + v[1]))]
@@ -268,7 +268,7 @@ def thirds_demo(x, y, z, n_iters):
         positions.append((float(v[0]), float(v[0] + v[1])))
     bound_ok = True
     for k, (left, right) in enumerate(positions):
-        left_ok = abs(left - c / 3.0) <= (2.0 * c / 3.0) * 4.0 ** (-k) + 1e-12 * c
-        right_ok = abs(right - 2.0 * c / 3.0) <= (c / 3.0) * 4.0 ** (1 - k) + 1e-12 * c
+        left_ok = abs(left - c / 3.0) <= 2.0 * (c / 3.0) * 4.0 ** (-k) + 1e-12 * c
+        right_ok = abs(right - 2.0 * (c / 3.0)) <= (c / 3.0) * 4.0 ** (1 - k) + 1e-12 * c
         bound_ok = bound_ok and left_ok and right_ok
     return positions, bound_ok

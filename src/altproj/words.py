@@ -9,8 +9,8 @@ The non-convergence construction produces words whose flat letter expansion
 is astronomically long (letter-run exponents beyond 10^10), so words are
 stored as nested (factor, exponent) pairs where a factor is either a letter
 or a sub-word.  Lengths and letter counts are computed arithmetically from
-the tree and cached per node.  Letters are read by walking the tree, at
-O(depth * factors) per ``letter_at``; no flat letter expansion is built.
+the tree and cached per node.  ``application_order`` reads the letters by
+walking the tree, at O(depth) per letter; no flat letter expansion is built.
 """
 
 from __future__ import annotations

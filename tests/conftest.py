@@ -55,29 +55,37 @@ def stated_build():
     return StatedBuild(construction, time.monotonic() - started)
 
 
-@pytest.fixture(scope="session")
-def construction():
-    """Two triples at the relaxed budgets (0.45, 0.45), glued by ``assemble``.
+def relaxed_construction(seed=None, K=2):
+    """K triples at the relaxed budget 0.45 (eta = 0.2), glued by ``assemble``.
 
     ``glue`` refuses these budgets, so the triples are built and assembled
-    by hand.  The result is small enough to step in float64 (n = 19).
+    by hand.  ``seed`` rotates each triple's slab as ``glue``'s layout does;
+    None keeps the coordinate axes.
     """
-    eps = [0.45, 0.45]
+    eps = [0.45] * K
     kv = [divergence.k_of_eps(e) for e in eps]
-    dims = [k + 2 for k in kv]
-    slabs = [2 * d - 2 for d in dims]
-    total = 3 + sum(slabs)
-    off = np.cumsum([3] + slabs[:-1])
+    slabs = [2 * (k + 2) - 2 for k in kv]
+    total = K + 1 + sum(slabs)
+    off = np.cumsum([K + 1] + slabs[:-1])
     ident = np.eye(total)
-    basis_e = [ident[:, i] for i in range(3)]
+    basis_e = [ident[:, i] for i in range(K + 1)]
+    rng = None if seed is None else np.random.default_rng(seed)
     triples = []
-    for i in range(2):
+    for i in range(K):
         o, slab = int(off[i]), slabs[i]
-        slab_cols = [ident[:, o + c] for c in range(slab)]
-        x_cols = [basis_e[i], basis_e[i + 1]] + slab_cols[:kv[i]]
-        e_cols = x_cols + slab_cols[kv[i]:]
-        x_space = linalg.Subspace(total, np.column_stack(x_cols))
-        e_space = linalg.Subspace(total, np.column_stack(e_cols))
-        triples.append(divergence.build_triple(e_space, x_space, basis_e[i], basis_e[i + 1],
-                                               eps[i], eta=0.2, s_cap=10**14))
+        slab_cols = ident[:, o:o + slab]
+        if rng is not None:
+            slab_cols = slab_cols @ linalg.random_subspace(rng, slab, slab).basis
+        x_cols = np.column_stack([basis_e[i], basis_e[i + 1], slab_cols[:, :kv[i]]])
+        e_cols = np.column_stack([x_cols, slab_cols[:, kv[i]:]])
+        triples.append(divergence.build_triple(
+            linalg.Subspace(total, e_cols), linalg.Subspace(total, x_cols),
+            basis_e[i], basis_e[i + 1], eps[i], eta=0.2, s_cap=10**14))
     return divergence.assemble(triples, basis_e, eps)
+
+
+@pytest.fixture(scope="session")
+def construction():
+    """Two triples at the relaxed budgets (0.45, 0.45) on the coordinate axes,
+    small enough to step in float64 (n = 19)."""
+    return relaxed_construction()

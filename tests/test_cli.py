@@ -349,6 +349,21 @@ class TestDiverge:
         errors = [ln for ln in stderr.splitlines() if "error" in ln]
         assert len(errors) == 1 and cause in errors[0]
 
+    @pytest.mark.parametrize("option", ["--r-cap", "--s-cap"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_names_the_option(self, tmp_path, capsys, monkeypatch, option, cap):
+        def never(*args, **kwargs):
+            raise AssertionError("a refused cap must stop before the build")
+
+        monkeypatch.setattr(divergence, "glue", never)
+        out = tmp_path / "c.json"
+        code, stdout, stderr = run_main(capsys, ["diverge", option, cap, "--out", str(out)])
+        assert code == 1
+        assert stdout == "" and not out.exists()
+        errors = [ln for ln in stderr.splitlines() if "error" in ln]
+        assert errors == [f"altproj diverge: error: argument {option}: "
+                          f"must be an integer >= 1, got '{cap}'"]
+
     def test_desk_scale_default_eps_reports_cap(self, tmp_path, capsys):
         code, _, stderr = run_main(capsys, [
             "diverge", "--K", "2", "--eps", "1/32,1/64", "--r-cap", "1000000",
@@ -436,6 +451,20 @@ class TestThirds:
         code, _, stderr = run_main(capsys, ["thirds", "0.0", "0.3", "0.5"])
         assert code == 1
         assert "positive" in stderr
+
+    @pytest.mark.parametrize("lengths, named", [
+        (["1", "2", "nan"], "1.0 + 2.0 + nan = nan"),
+        (["1", "inf", "2"], "1.0 + inf + 2.0 = inf"),
+        (["1e308", "1e308", "1e308"], "1e+308 + 1e+308 + 1e+308 = inf"),
+    ])
+    def test_non_finite_length_or_sum_exits_one(self, tmp_path, capsys, lengths, named):
+        out = tmp_path / "table.csv"
+        code, stdout, stderr = run_main(capsys, ["thirds", *lengths, "--out", str(out)])
+        assert code == 1
+        assert stdout == "" and not out.exists()
+        errors = [ln for ln in stderr.splitlines() if "error" in ln]
+        assert len(errors) == 1 and named in errors[0]
+        assert stderr.count("\n") == 2  # the error and the elapsed time, no rows
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import word_matrix
+from conftest import relaxed_construction, word_matrix
 
 from altproj import divergence, iteration, linalg
 from altproj.divergence import (
@@ -522,10 +522,10 @@ class TestGlueEngine:
 
     def test_outputs_pinned(self, counted_glue):
         construction, _ = counted_glue
-        assert [a.hex() for a in construction.achieved] == ["0x1.005a344806890p-4"] * 2
+        assert [a.hex() for a in construction.achieved] == ["0x1.005a34480688ep-4"] * 2
         assert [float(np.linalg.norm(s)).hex() for s in construction.checkpoint_states] == [
             "0x1.dff4c7aaa8e38p-1", "0x1.c1eaf6bc5d362p-1"]
-        assert construction.non_cauchy_gap.hex() == "0x1.48e47f3ad370cp+0"
+        assert construction.non_cauchy_gap.hex() == "0x1.48e47f3ad370dp+0"
         assert construction.precision == 190
         for t in construction.triples:
             assert t.quarter.achieved_error.hex() == "0x1.005a34480688bp-4"
@@ -533,10 +533,34 @@ class TestGlueEngine:
 
     def test_three_triples_pinned(self):
         construction = glue(3, [1 / 32] * 3, seed=0)
-        assert [a.hex() for a in construction.achieved] == ["0x1.02dc884cea73cp-5"] * 3
-        assert construction.non_cauchy_gap.hex() == "0x1.59191a6932fedp+0"
+        assert [a.hex() for a in construction.achieved] == ["0x1.02dc884cea742p-5"] * 3
+        assert construction.non_cauchy_gap.hex() == "0x1.59191a6932fecp+0"
         assert construction.precision == 418
         assert [max(t.s).bit_length() for t in construction.triples] == [16070] * 3
+
+    def test_word_contracts_the_rounding_of_the_exact_state(self, counted_glue):
+        from altproj import _intrinsic
+
+        construction, _ = counted_glue
+        triples = construction.triples
+        apply_word, num = _intrinsic.glued_words(triples, {0: [0], 1: [2]})
+        assert num.prec == construction.precision == 190
+        zero = num.mpf(0)
+        e_1 = ([num.mpf(1), zero, zero], [[zero] * t.quarter.k for t in triples])
+        (state,) = apply_word(0, [e_1])  # the running state after word 1, at 190 bits
+        rounded = ([num.mpf(float(x)) for x in state[0]],
+                   [[num.mpf(float(x)) for x in zl] for zl in state[1]])
+        image, image_of_rounded = apply_word(1, [state, rounded])
+
+        def distance(a, b):
+            return num.sqrt(sum((x - y) ** 2 for x, y in zip(a[0], b[0]))
+                            + sum((x - y) ** 2 for za, zb in zip(a[1], b[1]) for x, y in zip(za, zb)))
+
+        moved = distance(state, rounded)
+        assert 0 < moved < 1e-15  # float64 rounding moved the state
+        assert distance(image, image_of_rounded) <= moved + num.ldexp(1, 16 - num.prec)
+        # the report measures the exact states, each number rounded once
+        assert construction.non_cauchy_gap == float(distance(state, image))
 
 
 class TestAssemble:
@@ -579,6 +603,18 @@ class TestAssemble:
             assert t.quarter.r == [3, 37, 586]
             assert t.s == [14321947017218, 218535573, 3339]
         assert construction.precision == 53  # float64 suffices here
+
+    def test_gap_is_independent_of_the_layout_seed(self):
+        # the gap is measured in M1's orthonormal frame, not between float64 vectors of R^n
+        gaps = {relaxed_construction(seed).non_cauchy_gap.hex() for seed in (0, 1, 2)}
+        assert gaps == {"0x1.2e6a095dd3753p-1"}
+
+    def test_float64_outputs_pinned(self):
+        c = relaxed_construction(seed=0)
+        assert c.precision == 53
+        assert [a.hex() for a in c.achieved] == ["0x1.d756828f648e5p-2", "0x1.d498f1ddcbca4p-2"]
+        assert [float(np.linalg.norm(s)).hex() for s in c.checkpoint_states] == [
+            "0x1.183ba893bb1a6p-1", "0x1.38a6d39ff52ccp-2"]
 
     def test_relaxed_budgets_stay_in_float64(self):
         # the benchmark's construction jobs run at these budgets

@@ -1,3 +1,5 @@
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -384,3 +386,19 @@ class TestThirds:
     def test_non_positive_lengths_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             kaczmarz.thirds_demo(1.0, 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("lengths", [(1.0, 2.0, math.nan), (1.0, math.inf, 2.0),
+                                         (-math.inf, 1.0, 2.0), (1e308, 1e308, 1e308)])
+    def test_non_finite_length_or_sum_rejected(self, lengths):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be positive with a finite sum:"):
+                kaczmarz.thirds_demo(*lengths, 3)
+
+    def test_sum_near_the_top_of_float64_keeps_its_envelopes(self):
+        # 2c overflows here, but 2 (c / 3) does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            positions, bound_ok = kaczmarz.thirds_demo(3e307, 3e307, 3e307, 6)
+        assert bound_ok
+        assert positions[-1][1] == pytest.approx(6e307, rel=1e-12)
