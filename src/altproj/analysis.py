@@ -18,6 +18,7 @@ only in infinite-dimensional spaces and is out of reach here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, count, repeat
 
 import numpy as np
 
@@ -37,10 +38,7 @@ class RateCurve:
 
     def rows(self):
         """(n, measured, predicted, abs_err) tuples, n starting at 1."""
-        return [
-            (n + 1, m, p, abs(m - p))
-            for n, (m, p) in enumerate(zip(self.measured, self.predicted))
-        ]
+        return list(zip(count(1), self.measured, self.predicted, self.abs_errors))
 
 
 def _split(s1, s2):
@@ -64,20 +62,18 @@ def friedrichs_cosine(s1, s2):
 def rate_curve(s1, s2, n_terms):
     """Measured ||(P2 P1)^n - P_M|| against c^(2n-1) for n = 1..n_terms.
 
-    M and c come from one principal-angle call.
+    M and c come from one principal-angle call.  With H = Q2^T Q1,
+    (P2 P1)^n - P_M = Q2 (H (H^T H)^(n-1) - Q2^T P_M Q1) Q1^T, since P_M =
+    P2 P_M P1, and Q2, Q1 have orthonormal columns; so the norm is measured
+    on that d2 x d1 compression instead of on n x n matrices.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     c, meet = _split(s1, s2)
-    p1 = linalg.projection_matrix(s1)
-    p2 = linalg.projection_matrix(s2)
-    pm = meet @ meet.T
-    t = p2 @ p1
-    measured = []
-    predicted = []
-    power = np.eye(s1.ambient_dim)
-    for n in range(1, n_terms + 1):
-        power = power @ t
-        measured.append(linalg.operator_norm(power - pm))
-        predicted.append(c ** (2 * n - 1))
+    q1, q2 = s1.basis, s2.basis
+    h = q2.T @ q1
+    pm = (q2.T @ meet) @ (meet.T @ q1)
+    powers = accumulate(repeat(h.T @ h, n_terms - 1), np.matmul, initial=h)
+    measured = [linalg.operator_norm(power - pm) for power in powers]
+    predicted = [c ** (2 * n - 1) for n in range(1, n_terms + 1)]
     return RateCurve(c=c, measured=measured, predicted=predicted)

@@ -64,21 +64,28 @@ class InputError(Exception):
     pass
 
 
-def _checked(convert, valid, what):
+def _checked(convert, what, valid=lambda value: True):
     """An argparse type that refuses, before any work starts, text that
-    ``convert`` rejects or whose value is not ``valid``, naming ``what``."""
+    ``convert`` rejects or whose value is not ``valid``, naming ``what`` (or,
+    for a well-formed int, the interpreter's digit limit) and 40 characters."""
     def parse(text):
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
         try:
             if valid(value := convert(text)):
                 return value
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+            if convert is int and re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):
+                raise argparse.ArgumentTypeError(
+                    f"has {sum(map(str.isdecimal, text))} digits, over the interpreter's limit of "
+                    f"{sys.get_int_max_str_digits()} digits for an int string: {shown}") from None
+        raise argparse.ArgumentTypeError(f"must be {what}, got {shown}")
     return parse
 
 
-_tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")  # NaN fails
-_cap = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_tolerance = _checked(float, "a finite positive number", lambda v: 0 < v < math.inf)  # NaN fails
+_cap = _checked(int, "an integer >= 1", lambda v: v >= 1)
+_integer = _checked(int, "an integer")
+_number = _checked(float, "a number")
 
 
 def _parse_vector(text):
@@ -289,9 +296,9 @@ def cmd_thirds(args):
 
 def build_parser():
     parser = _Parser(prog="altproj", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="PRNG seed, echoed in every report")
+    parser.add_argument("--seed", type=_integer, default=0, help="PRNG seed, echoed in every report")
     parser.add_argument("--tol", type=_tolerance, default=1e-10, help="stopping tolerance")
-    parser.add_argument("--max-steps", type=int, default=100_000, dest="max_steps")
+    parser.add_argument("--max-steps", type=_integer, default=100_000, dest="max_steps")
     parser.add_argument("--out", default=None, dest="global_out",
                         help="output path (also accepted after the subcommand)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,7 +317,7 @@ def build_parser():
     start.add_argument("--x0", default=None, help="starting vector, comma separated")
     start.add_argument("--min-norm", action="store_true", dest="min_norm",
                        help="start from zero: converges to the minimal-norm solution")
-    p.add_argument("--sweeps", type=int, default=100_000)
+    p.add_argument("--sweeps", type=_integer, default=100_000)
     p.add_argument("--out", default=None)
     p.add_argument("--residuals", default=None, help="residual CSV path (default OUT.residuals.csv)")
     p.set_defaults(func=cmd_kaczmarz, default_out="solution.txt")
@@ -318,12 +325,12 @@ def build_parser():
     p = sub.add_parser("angle", help="Friedrichs cosine and measured-vs-predicted rates")
     p.add_argument("space1")
     p.add_argument("space2")
-    p.add_argument("--n", type=int, default=8, help="number of alternation powers to measure")
+    p.add_argument("--n", type=_integer, default=8, help="number of alternation powers to measure")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_angle, default_out="rates.csv")
 
     p = sub.add_parser("diverge", help="build the non-Cauchy-window construction")
-    p.add_argument("--K", type=int, default=2, help="number of glued triples")
+    p.add_argument("--K", type=_integer, default=2, help="number of glued triples")
     p.add_argument("--eps", default=None,
                    help="comma list of accuracy budgets (fractions like 1/32 allowed); "
                         "default 2^-(i+4)")
@@ -338,10 +345,10 @@ def build_parser():
     p.set_defaults(func=cmd_diverge, default_out="construction.json")
 
     p = sub.add_parser("thirds", help="string-thirds two-projection demonstration")
-    p.add_argument("x", type=float)
-    p.add_argument("y", type=float)
-    p.add_argument("z", type=float)
-    p.add_argument("--n", type=int, default=10, help="number of fold-and-slide iterations")
+    p.add_argument("x", type=_number)
+    p.add_argument("y", type=_number)
+    p.add_argument("z", type=_number)
+    p.add_argument("--n", type=_integer, default=10, help="number of fold-and-slide iterations")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_thirds, default_out=None)
     return parser

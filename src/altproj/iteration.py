@@ -125,9 +125,8 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
     if not ss:
         raise ValueError("need at least one subspace")
     n = ss[0].ambient_dim
-    for s in ss:
-        if s.ambient_dim != n:
-            raise ValueError("subspaces live in different ambient dimensions")
+    if any(s.ambient_dim != n for s in ss):
+        raise ValueError("subspaces live in different ambient dimensions")
     x = linalg.as_vector(x0, dim=n).astype(float, copy=True)
     x0_norm = linalg.start_norm(x)
     if schedule.J != len(ss):
@@ -272,12 +271,9 @@ def kakutani_gaps(subspaces, x0, n_max):
         return v
 
     gaps = []
-    current = x
-    nxt = cycle(current)
     for _ in range(n_max + 1):
-        gaps.append(float(np.linalg.norm(current - nxt)))
-        current = nxt
-        nxt = cycle(current)
+        x, previous = cycle(x), x
+        gaps.append(float(np.linalg.norm(previous - x)))
     return gaps
 
 

@@ -176,28 +176,17 @@ def load_system(path, dense=False):
     Sparse format (default): first line ``n J`` with n, J >= 1; then J lines
     ``c_i k idx_1 val_1 ... idx_k val_k`` with k >= 0 distinct 0-based
     column indices and no further tokens.
-    Dense format (``dense=True``): each line ``a_i1,...,a_iN,c_i``.
+    Dense format (``dense=True``): each line ``a_i1,...,a_iN,c_i``, read by
+    ``linalg.read_rows``, so ``#`` starts a comment anywhere on a line.
     """
+    if dense:
+        rows = linalg.read_rows(path, "dense row", "empty system file",
+                                (2, "dense row needs coefficients and a right-hand side"))
+        return LinearSystem.from_arrays(rows[:, :-1], rows[:, -1])
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [(no, ln) for no, ln in enumerate(lines, start=1) if ln and not ln.startswith("#")]
+        lines = [(no, ln) for no, raw in enumerate(fh, start=1) if (ln := raw.strip()) and ln[0] != "#"]
     if not lines:
         raise ValueError(f"{path}: empty system file")
-    if dense:
-        rows = None
-        for i, (no, ln) in enumerate(lines):
-            try:
-                vals = [float(t) for t in ln.split(",")]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{no}: malformed dense row: {exc}") from None
-            if len(vals) < 2:
-                raise ValueError(f"{path}:{no}: dense row needs coefficients and a right-hand side")
-            if rows is None:
-                rows = np.empty((len(lines), len(vals)))
-            elif len(vals) != rows.shape[1]:
-                raise ValueError(f"{path}:{no}: expected {rows.shape[1]} entries, got {len(vals)}")
-            rows[i] = vals
-        return LinearSystem.from_arrays(rows[:, :-1], rows[:, -1])
     no0, header = lines[0]
     try:
         n, j = (int(t) for t in header.split())

@@ -13,6 +13,7 @@ depend on the basis, never on entrywise basis equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,19 @@ DEFAULT_TOL = 1e-10
 BASIS_ORTHO_TOL = 1e-12
 
 
+def _finite(a, ndim, what):
+    """``a`` as a float array of ``ndim`` dimensions with finite entries."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != ndim:
+        raise ValueError(f"expected a {what}, got array of shape {m.shape}")
+    if m.size and not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} contains non-finite entries")
+    return m
+
+
 def as_vector(x, dim=None):
     """Validate ``x`` as a finite 1-D float array, optionally of length ``dim``."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got array of shape {v.shape}")
-    if v.size and not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite entries")
+    v = _finite(x, 1, "vector")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected length {dim}, got {v.shape[0]}")
     return v
@@ -39,12 +46,7 @@ def as_vector(x, dim=None):
 
 def as_matrix(a):
     """Validate ``a`` as a finite 2-D float array."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
+    return _finite(a, 2, "matrix")
 
 
 def start_norm(x0):
@@ -109,9 +111,7 @@ def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
     if tol <= 0:
         raise ValueError("tol must be positive")
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        a = np.asarray(vectors, dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("vector contains non-finite entries")
+        a = _finite(vectors, 2, "vector")
     else:
         vs = [as_vector(v) for v in vectors]
         if any(v.shape[0] != vs[0].shape[0] for v in vs):
@@ -128,14 +128,16 @@ def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
     scale = float(np.max(np.linalg.norm(a, axis=1))) or 1.0
     basis = np.empty((n, a.shape[0]), order="F")
     k = 0
+    # bound methods of the accepted block: the gemv calls of ``@`` without its dispatch
+    dot, tdot = basis[:, :0].dot, basis[:, :0].T.dot
     for v in a:
-        r, q = v.copy(), basis[:, :k]
-        r -= q @ (q.T @ r)
-        r -= q @ (q.T @ r)
-        nr = float(np.linalg.norm(r))
+        r = v - dot(tdot(v))
+        r -= dot(tdot(r))
+        nr = math.sqrt(r.dot(r))  # np.linalg.norm's own formula
         if nr > tol * scale:
-            basis[:, k] = r / nr
+            np.divide(r, nr, out=basis[:, k])
             k += 1
+            dot, tdot = basis[:, :k].dot, basis[:, :k].T.dot
     return Subspace(n, basis[:, :k])
 
 
@@ -270,25 +272,36 @@ def random_subspace(rng, n, d):
     return Subspace(n, q * np.sign(diag))
 
 
-def load_subspace(path):
-    """Read a subspace from a text file: one basis vector per line.
+def read_rows(path, what, empty, short=(1, "")):
+    """Rows of comma-separated decimals from a text file, as one float matrix.
 
-    Lines hold comma-separated decimals; ``#`` starts a comment; all rows must
-    have equal length.  Vectors need not be orthonormal, orthonormalization is
-    applied on load.
+    ``#`` starts a comment anywhere on a line; blank lines are skipped.  Each
+    line is one ``np.array(..., dtype=float)`` call, which reads its tokens
+    as ``float()`` does.  A line is refused at ``path:line`` for a bad token,
+    then for fewer than ``short[0]`` entries, then for another length than
+    the first row's; a file without rows is refused as ``empty``.
     """
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed vector line: {exc}") from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} entries, got {len(rows[-1])}")
-    if not rows:
-        raise ValueError(f"{path}: no vectors found")
-    return orthonormalize(np.array(rows))
+        lines = [(no, line) for no, raw in enumerate(fh, start=1)
+                 if (line := raw.split("#", 1)[0].strip())]
+    if not lines:
+        raise ValueError(f"{path}: {empty}")
+    width = lines[0][1].count(",") + 1
+    rows = np.empty((len(lines), width))
+    for i, (no, line) in enumerate(lines):
+        try:
+            row = np.array(line.split(","), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: malformed {what}: {exc}") from None
+        if row.size < short[0]:
+            raise ValueError(f"{path}:{no}: {short[1]}")
+        if row.size != width:
+            raise ValueError(f"{path}:{no}: expected {width} entries, got {row.size}")
+        rows[i] = row
+    return rows
+
+
+def load_subspace(path):
+    """Read a subspace from a text file of basis vectors, one per line, by
+    ``read_rows``.  The vectors are orthonormalized on load."""
+    return orthonormalize(read_rows(path, "vector line", "no vectors found"))

@@ -94,8 +94,7 @@ class Schedule:
                 raise ScheduleExhausted(f"constructed schedule of length {self.word.length} has no step {n}")
             return self.word.letter_at(n)
         # ruler: position n carries (trailing binary zeros of n) + 1, capped at J
-        v = (n & -n).bit_length()
-        return min(v, self.J)
+        return min((n & -n).bit_length(), self.J)
 
     def indices(self):
         """Iterator over j_1, j_2, ... in step order, ``emit(1)`` first.

@@ -119,3 +119,44 @@ class TestRateCurve:
             for a, b in zip(curve.measured, curve.measured[1:]):
                 if a > 1e-10:
                     assert b / a == pytest.approx(c2, abs=1e-6)
+
+
+def dense_rate_curve(s1, s2, n_terms):
+    """The earlier ``rate_curve``: norms of powers of the n x n matrix P2 P1."""
+    c, meet = analysis._split(s1, s2)
+    t = linalg.projection_matrix(s2) @ linalg.projection_matrix(s1)
+    power = np.eye(s1.ambient_dim)
+    measured = []
+    for _ in range(n_terms):
+        power = power @ t
+        measured.append(linalg.operator_norm(power - meet @ meet.T))
+    return measured
+
+
+class TestRateCurveOnTheCompression:
+    def test_matches_the_dense_powers_and_the_rate(self):
+        # every matrix in either computation has norm <= 1, so the k-th term
+        # carries rounding of about k * n * eps in absolute terms; the bound
+        # is fixed from the dtype before any pair is drawn
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(1, 24))
+            m = int(rng.integers(0, n + 1))  # dimension of the shared part
+            common = rng.standard_normal((m, n))
+            s1, s2 = (linalg.orthonormalize(
+                np.vstack([common, rng.standard_normal((int(rng.integers(0, n - m + 1)), n))]),
+                ambient_dim=n) for _ in range(2))
+            curve = analysis.rate_curve(s1, s2, 8)
+            assert curve.predicted == [curve.c ** (2 * k - 1) for k in range(1, 9)]
+            dense = dense_rate_curve(s1, s2, 8)
+            for k, (got, old, rate) in enumerate(zip(curve.measured, dense, curve.predicted), 1):
+                tol = 4 * k * n * eps
+                assert abs(got - old) <= tol
+                assert abs(got - rate) <= tol
+
+    def test_zero_subspace_measures_zero(self):
+        s = line(1.0, 2.0)
+        for pair in ((s, linalg.Subspace.zero(2)), (linalg.Subspace.zero(2), s)):
+            curve = analysis.rate_curve(*pair, 3)
+            assert curve.measured == [0.0, 0.0, 0.0] == dense_rate_curve(*pair, 3)

@@ -364,6 +364,37 @@ class TestDiverge:
         assert errors == [f"altproj diverge: error: argument {option}: "
                           f"must be an integer >= 1, got '{cap}'"]
 
+    @pytest.mark.parametrize("option", ["--r-cap", "--max-steps"])
+    def test_int_beyond_the_digit_limit_names_the_limit(self, tmp_path, capsys, monkeypatch, option):
+        # int() refuses decimal text longer than the interpreter's limit
+        def never(*args, **kwargs):
+            raise AssertionError("a refused value must stop before the build")
+
+        monkeypatch.setattr(divergence, "glue", never)
+        out = tmp_path / "c.json"
+        # --r-cap is an option of diverge, --max-steps a global one
+        argv = ["diverge", option, "9" * 5000] if option == "--r-cap" else [option, "9" * 5000, "diverge"]
+        code, stdout, stderr = run_main(capsys, argv + ["--out", str(out)])
+        assert code == 1
+        assert stdout == "" and not out.exists()
+        errors = [ln for ln in stderr.splitlines() if "error" in ln]
+        assert len(errors) == 1 and errors[0].endswith(
+            f"error: argument {option}: has 5000 digits, over the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits for an int string: '{'9' * 40}'... (5000 characters)")
+        assert len(stderr) < 600
+
+    @pytest.mark.parametrize("option, text, what", [
+        ("--max-steps", "12x", "an integer"),
+        ("--r-cap", "9" * 99 + "x", "an integer >= 1"),
+        ("--tol", "1" * 60 + "x", "a finite positive number"),
+    ])
+    def test_refused_text_is_shown_up_to_forty_characters(self, tmp_path, capsys, option, text, what):
+        argv = ["diverge", option, text] if option == "--r-cap" else [option, text, "diverge"]
+        code, _, stderr = run_main(capsys, argv + ["--out", str(tmp_path / "c.json")])
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        assert code == 1
+        assert f"argument {option}: must be {what}, got {shown}" in stderr
+
     def test_desk_scale_default_eps_reports_cap(self, tmp_path, capsys):
         code, _, stderr = run_main(capsys, [
             "diverge", "--K", "2", "--eps", "1/32,1/64", "--r-cap", "1000000",

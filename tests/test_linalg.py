@@ -130,6 +130,50 @@ class TestOrthonormalizeMatchesMGS:
             assert np.array_equal(linalg.orthonormalize(np.ldexp(rows, e)).basis, base)
 
 
+def cgs2_reference(rows, tol=linalg.DEFAULT_TOL):
+    """The earlier CGS2 loop of ``orthonormalize``, through ``@`` and
+    ``np.linalg.norm``, after the same power-of-two scaling."""
+    a = np.asarray(rows, dtype=float)
+    n = a.shape[1]
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    scale = float(np.max(np.linalg.norm(a, axis=1))) or 1.0
+    basis = np.empty((n, a.shape[0]), order="F")
+    k = 0
+    for v in a:
+        r, q = v.copy(), basis[:, :k]
+        r -= q @ (q.T @ r)
+        r -= q @ (q.T @ r)
+        nr = float(np.linalg.norm(r))
+        if nr > tol * scale:
+            basis[:, k] = r / nr
+            k += 1
+    return basis[:, :k]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOrthonormalizeMatchesCGS2Reference:
+    @settings(max_examples=300, deadline=None)
+    @given(graded_column_sets())
+    def test_bit_identical_basis(self, rows):
+        assert same_bits(linalg.orthonormalize(rows, ambient_dim=rows.shape[1]).basis,
+                         cgs2_reference(rows))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_at_benchmark_sizes(self, seed):
+        # Gaussian rows at n = 128..176, d = 0.75 n, with dependent rows mixed in
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([128, 144, 160, 176]))
+        rows = rng.standard_normal((3 * n // 4, n))
+        rows = np.vstack([rows, rng.standard_normal((n // 8, 3 * n // 4)) @ rows, rows[:3]])
+        rows = rows[rng.permutation(rows.shape[0])]
+        basis = linalg.orthonormalize(rows).basis
+        assert basis.shape == (n, 3 * n // 4)
+        assert same_bits(basis, cgs2_reference(rows))
+
+
 class TestProject:
     def test_projection_onto_diagonal_line(self):
         s = line(1.0, 1.0)
