@@ -89,10 +89,10 @@ _number = _checked(float, "a number")
 
 
 def _parse_vector(text):
-    if "," in text and not all(field.strip() for field in text.split(",")):
-        raise InputError(f"malformed vector {text!r}: empty field between commas")
+    from .schedules import _letters  # deferred: importing the CLI loads no other altproj module
+    tokens = _letters(text, f"malformed vector {text!r}")
     try:
-        return np.array([float(t) for t in text.replace(",", " ").split()])
+        return np.array([float(t) for t in tokens])
     except ValueError as exc:
         raise InputError(f"malformed vector {text!r}: {exc}") from None
 

@@ -122,11 +122,7 @@ def run(subspaces, schedule, x0, cfg=None, reference="auto", store_iterates=Fals
     trace and sets ``schedule_exhausted``; it is not an error.
     """
     ss = list(subspaces)
-    if not ss:
-        raise ValueError("need at least one subspace")
-    n = ss[0].ambient_dim
-    if any(s.ambient_dim != n for s in ss):
-        raise ValueError("subspaces live in different ambient dimensions")
+    n = linalg.common_dim(*ss)
     x = linalg.as_vector(x0, dim=n).astype(float, copy=True)
     x0_norm = linalg.start_norm(x)
     if schedule.J != len(ss):
@@ -257,11 +253,9 @@ def kakutani_gaps(subspaces, x0, n_max):
     One application of T projects onto subspace 1 first, then 2, and so on.
     """
     ss = list(subspaces)
-    if not ss:
-        raise ValueError("need at least one subspace")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    x = linalg.as_vector(x0, dim=ss[0].ambient_dim).astype(float, copy=True)
+    x = linalg.as_vector(x0, dim=linalg.common_dim(*ss)).astype(float, copy=True)
     linalg.start_norm(x)
     bases = [s.basis for s in ss]
 

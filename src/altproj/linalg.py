@@ -96,6 +96,15 @@ class Subspace:
         return cls(n, np.eye(n))
 
 
+def common_dim(*subspaces):
+    """The ambient dimension that ``subspaces`` share; refuses none, or two that differ."""
+    dims = {s.ambient_dim for s in subspaces}
+    if len(dims) != 1:
+        raise ValueError("subspaces live in different ambient dimensions" if dims
+                         else "need at least one subspace")
+    return dims.pop()
+
+
 def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
     """Orthonormal basis of the span of ``vectors`` (CGS2).
 
@@ -160,9 +169,8 @@ def complement(s):
 
 def subspace_sum(s1, s2):
     """Span of the union of two subspaces."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("subspaces live in different ambient dimensions")
-    return orthonormalize(np.hstack([s1.basis, s2.basis]).T, ambient_dim=s1.ambient_dim)
+    n = common_dim(s1, s2)
+    return orthonormalize(np.hstack([s1.basis, s2.basis]).T, ambient_dim=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +198,7 @@ def principal_angles(s1, s2):
     resolved by their sines: the singular values of (I - Q1 Q1^T) Q2 =
     Q2 - Q1 G on their right singular vectors (Knyazev & Argentati 2002).
     """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("subspaces live in different ambient dimensions")
+    common_dim(s1, s2)
     swap = s2.dim > s1.dim
     q1, q2 = (s2.basis, s1.basis) if swap else (s1.basis, s2.basis)
     g = q1.T @ q2
@@ -232,8 +239,7 @@ def contains(outer, inner, tol=DEFAULT_TOL):
     The largest sine is ||(I - P_outer) Q_inner||, so the verdict does not
     depend on the basis of either subspace.
     """
-    if outer.ambient_dim != inner.ambient_dim:
-        raise ValueError("subspaces live in different ambient dimensions")
+    common_dim(outer, inner)
     if inner.dim > outer.dim:
         return False
     return float(np.max(principal_angles(outer, inner).sin, initial=0.0)) <= tol

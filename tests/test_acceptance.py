@@ -16,11 +16,11 @@ import sys
 import time
 
 import numpy as np
+from test_analysis import grid_sup_oracle
 
 from altproj import analysis, divergence, iteration, kaczmarz, linalg
 from altproj.iteration import RunConfig
 from altproj.schedules import Schedule
-from tests.test_analysis import grid_sup_oracle
 
 
 @contextlib.contextmanager

@@ -87,13 +87,17 @@ class TestRun:
         assert code == 1
         assert "error" in stderr
 
-    def test_malformed_file_exits_one_with_location(self, tmp_path, capsys):
-        bad = write(tmp_path / "bad.csv", "1,0\noops,3\n")
-        code, _, stderr = run_main(capsys, [
-            "run", "--spaces", bad, bad, "--schedule", "periodic:1,2",
-            "--x0", "1,2", "--out", str(tmp_path / "t.csv")])
-        assert code == 1
-        assert "bad.csv:2" in stderr
+    def test_malformed_file_exits_one_with_location(self, tmp_path, two_lines, capsys):
+        # comments and blank lines count in the reported line number
+        out = tmp_path / "t.csv"
+        for text, line in (("1,0\noops,3\n", 2), ("# a line\n\n1,x\n", 3)):
+            bad = write(tmp_path / "bad.csv", text)
+            code, stdout, stderr = run_main(capsys, [
+                "run", "--spaces", bad, two_lines[1], "--schedule", "periodic:1,2",
+                "--x0", "1,2", "--out", str(out)])
+            assert code == 1 and stdout == ""
+            assert f"bad.csv:{line}" in stderr
+            assert not out.exists()
 
     def test_schedule_alphabet_must_match_the_spaces(self, tmp_path, two_lines, capsys):
         out = tmp_path / "t.csv"
@@ -151,6 +155,8 @@ class TestRun:
         ("1,,2", "periodic:1,2", "malformed vector '1,,2': empty field between commas"),
         ("1,2,", "periodic:1,2", "malformed vector '1,2,': empty field between commas"),
         ("1,2", "periodic:1,,2", "schedule spec 'periodic:1,,2': empty field between commas"),
+        # a field that is not a number is named as float() names it
+        ("1,a", "periodic:1,2", "malformed vector '1,a': could not convert string to float: 'a'"),
     ])
     def test_empty_comma_field_exits_one(self, tmp_path, two_lines, capsys, x0, schedule, cause):
         out = tmp_path / "t.csv"
@@ -200,9 +206,9 @@ class TestKaczmarz:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((4, 7))
         c = a @ rng.standard_normal(7)
-        lines = "\n".join(",".join(f"{v:.17g}" for v in list(row) + [rhs])
-                          for row, rhs in zip(a, c))
-        system = write(tmp_path / "dense.csv", lines + "\n")
+        lines = [",".join(f"{v:.17g}" for v in list(row) + [rhs]) for row, rhs in zip(a, c)]
+        lines[0] += "  # a row may end in a comment"
+        system = write(tmp_path / "dense.csv", "\n".join(lines) + "\n")
         out = tmp_path / "x.txt"
         code, stdout, _ = run_main(capsys, [
             "--tol", "1e-12", "kaczmarz", system, "--dense", "--min-norm", "--out", str(out)])
@@ -498,24 +504,63 @@ class TestThirds:
         assert stderr.count("\n") == 2  # the error and the elapsed time, no rows
 
 
+def _snaps_after_the_first_step(stdout, written):
+    rows = written["t.csv"].decode().splitlines()
+    assert len(rows) == 301
+    assert {row.split(",")[3] for row in rows[2:]} == {"0"}
+
+
+def _report_file_is_stdout(stdout, written):
+    assert written["c.json"].decode() == stdout
+
+
 class TestDeterminism:
-    def invoke(self, tmp_path):
-        out = tmp_path / "trace.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "altproj.cli", "--seed", "7", "run",
-             "--spaces", str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv"),
-             "--schedule", "periodic:1,2", "--x0", "1,2", "--out", str(out)],
-            capture_output=True, text=True, check=False)
-        assert proc.returncode == 0
-        return proc.stdout, out.read_bytes()
+    def invoke(self, tmp_path, argv):
+        """Exit code, stdout and the bytes of every file written by one fresh
+        ``python -m altproj.cli`` process; the files are then removed, so the
+        next process writes them anew."""
+        before = set(tmp_path.iterdir())
+        proc = subprocess.run([sys.executable, "-m", "altproj.cli", *argv],
+                              capture_output=True, text=True, check=False)
+        written = {}
+        for path in sorted(set(tmp_path.iterdir()) - before):
+            written[path.name] = path.read_bytes()
+            path.unlink()
+        return proc.returncode, proc.stdout, written
 
     def test_identical_invocations_are_byte_identical(self, tmp_path):
-        write(tmp_path / "m1.csv", "1,1\n")
-        write(tmp_path / "m2.csv", "1,0\n")
-        first = self.invoke(tmp_path)
-        second = self.invoke(tmp_path)
-        assert first[0] == second[0]
-        assert first[1] == second[1]
+        argv = ["--seed", "7", "run", "--spaces", write(tmp_path / "m1.csv", "1,1\n"),
+                write(tmp_path / "m2.csv", "1,0\n"), "--schedule", "periodic:1,2", "--x0", "1,2",
+                "--out", str(tmp_path / "trace.csv")]
+        first = self.invoke(tmp_path, argv)
+        assert first[0] == 0 and list(first[2]) == ["trace.csv"]
+        assert self.invoke(tmp_path, argv) == first
+
+    @pytest.mark.parametrize("inputs, argv, code, written, check", [
+        # a file: schedule with letter runs ends before converging
+        ({"m1.csv": "1,1\n", "m2.csv": "1,0\n", "runs.txt": "1,1,2,2,2,1\n"},
+         "run --spaces {tmp}/m1.csv {tmp}/m2.csv --schedule file:{tmp}/runs.txt --x0 1,2 "
+         "--out {tmp}/t.csv", 2, ["t.csv"], None),
+        # one plane under both letters: every step after the first snaps, and
+        # the residual of about 1e-16 never falls below 1e-300
+        ({"plane.csv": "1,2,0\n0,1,1\n"},
+         "--tol 1e-300 --max-steps 300 run --spaces {tmp}/plane.csv {tmp}/plane.csv "
+         "--schedule periodic:1,2 --x0 1,2,3 --out {tmp}/t.csv", 2, ["t.csv"],
+         _snaps_after_the_first_step),
+        ({"m1.csv": "1,1\n", "m2.csv": "1,0\n"},
+         "angle {tmp}/m1.csv {tmp}/m2.csv --n 4 --out {tmp}/rates.csv", 0, ["rates.csv"], None),
+        ({}, "diverge --K 2 --eps 0.06,0.06 --sakai --out {tmp}/c.json", 0,
+         ["c.json", "c.json.trace.csv"], _report_file_is_stdout),
+    ], ids=["file-schedule", "snapping-plane", "angle", "diverge"])
+    def test_every_output_repeats_byte_for_byte(self, tmp_path, inputs, argv, code, written, check):
+        for name, text in inputs.items():
+            write(tmp_path / name, text)
+        argv = [token.format(tmp=tmp_path) for token in argv.split()]
+        first = self.invoke(tmp_path, argv)
+        assert first[0] == code and list(first[2]) == written
+        assert self.invoke(tmp_path, argv) == first
+        if check is not None:
+            check(*first[1:])
 
 
 class TestLazyLoading:

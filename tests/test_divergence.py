@@ -135,6 +135,18 @@ class TestQuarterCircle:
         with pytest.raises(ValueError, match="too small"):
             quarter_circle(x, np.eye(3)[:, 0], np.eye(3)[:, 1], 0.5)
 
+    @pytest.mark.parametrize("u, v, cause", [
+        (2 * np.eye(6)[0], np.eye(6)[1], "u must be a unit vector"),
+        (np.eye(6)[0], np.eye(6)[1] / 2, "v must be a unit vector"),
+        (np.eye(6)[5], np.eye(6)[1], "u must lie in the given subspace"),
+        (np.eye(6)[0], np.eye(6)[5], "v must lie in the given subspace"),
+        (np.eye(6)[0], np.sqrt(0.5) * (np.eye(6)[0] + np.eye(6)[1]), "u and v must be orthogonal"),
+    ])
+    def test_endpoints_must_be_orthonormal_in_the_subspace(self, u, v, cause):
+        with pytest.raises(ValueError) as info:
+            quarter_circle(coordinate_subspace(6, 5), u, v, 0.5)
+        assert str(info.value) == cause
+
     def test_cap_trips_for_tiny_eps(self):
         # stage 3 needs r = 49839393; exponents are uncapped unless asked
         x = linalg.Subspace.full(45)
@@ -202,6 +214,26 @@ class TestReplaceProjection:
         x = coordinate_subspace(8, 4)
         with pytest.raises(ValueError, match="dim"):
             replace_projection([coordinate_subspace(8, 2)], x, e, eps=0.1, eta=0.5, a=1)
+
+    @pytest.mark.parametrize("change, cause", [
+        ({"eps": 0.0}, "eps and eta must be positive"),
+        ({"eta": -0.5}, "eps and eta must be positive"),
+        ({"eps": 1.0}, "eps must lie below 1: every inequality holds trivially beyond"),
+        ({"a": 0}, "a must be >= 1"),
+        ({"chain": []}, "chain must be non-empty"),
+        ({"chain": [coordinate_subspace(8, 2, start=4)]},
+         "chain members must be nested inside the top subspace"),
+        ({"chain": [coordinate_subspace(8, 3), coordinate_subspace(8, 2)]},
+         "chain members must be nested inside the top subspace"),
+        ({"e_space": coordinate_subspace(8, 6, start=2)},
+         "the top subspace must lie inside the enclosing space"),
+    ])
+    def test_malformed_inputs_are_refused(self, change, cause):
+        args = {"chain": [coordinate_subspace(8, 2)], "x_space": coordinate_subspace(8, 4),
+                "e_space": linalg.Subspace.full(8), "eps": 0.1, "eta": 0.5, "a": 1, **change}
+        with pytest.raises(ValueError) as info:
+            replace_projection(**args)
+        assert str(info.value) == cause
 
     def test_cap_guard(self):
         e = linalg.Subspace.full(8)
@@ -405,6 +437,62 @@ class TestBuildTriple:
                          np.eye(10)[:, 0], np.eye(10)[:, 1], eps=0.5, eta=0.25, s_cap=10**13)
 
 
+class TestCertification:
+    """Decisions within rounding of their bound are undecided, and are
+    recomputed at doubled precision up to ``_MAX_BITS``."""
+
+    def test_undecided_compute_is_retried_at_doubled_precision(self):
+        from altproj import _intrinsic
+
+        seen = []
+
+        def compute(num):
+            seen.append(num.prec)
+            if num.prec < 256:
+                raise _intrinsic._Undecided
+            return "decided"
+
+        assert _intrinsic._certified(compute, 53) == "decided"
+        assert seen == [53, 128, 256]
+
+    def test_compute_that_never_decides_is_refused(self):
+        from altproj import _intrinsic
+
+        seen = []
+
+        def compute(num):
+            seen.append(num.prec)
+            raise _intrinsic._Undecided
+
+        bits = 2 * _intrinsic._MAX_BITS
+        with pytest.raises(ArithmeticError) as info:
+            _intrinsic._certified(compute, 53)
+        assert str(info.value) == f"rounding still decides the outcome at {bits} bits"
+        assert seen[-1] == bits
+
+    def test_decisions_within_rounding_are_undecided(self):
+        from altproj._intrinsic import _FLOAT64, _floor, _less, _positive_definite3, _Undecided
+
+        assert _floor(_FLOAT64, 3.5) == 3 and _less(_FLOAT64, 1.0, 2.0) is True
+        assert _positive_definite3(_FLOAT64, np.eye(3).tolist()) is True
+        singular = np.diag([1.0, 1.0, 0.0]).tolist()
+        for decide in (lambda: _floor(_FLOAT64, 3.0), lambda: _less(_FLOAT64, 1.0, 1.0 + 2**-52),
+                       lambda: _positive_definite3(_FLOAT64, singular)):
+            with pytest.raises(_Undecided):
+                decide()
+
+    def test_tier_basis_cancellation_is_undecided(self):
+        # the tier sums cancel down to alpha_min^2 = 2^-160 of their terms
+        from altproj._intrinsic import _FLOAT64, _chain_basis, _tier_basis, _Undecided
+
+        alphas = [Fraction(1, 2), Fraction(1, 2**40), Fraction(1, 2**80), Fraction(0)]
+        with pytest.raises(_Undecided):
+            _tier_basis(_FLOAT64, 3, alphas)
+        _, cols, tiers = _chain_basis(53, 3, alphas)
+        gram = [[float(sum(a * b for a, b in zip(c, d))) for d in cols] for c in cols]
+        assert np.abs(np.array(gram) - np.eye(5)).max() < 1e-15 and tiers == [1, 1, 2, 3, 4]
+
+
 class TestRatio:
     def test_rounds_as_float64_where_float64_is_normal(self):
         from altproj._intrinsic import ratio
@@ -441,6 +529,12 @@ class TestGlue:
     def test_k_minimum(self):
         with pytest.raises(ValueError, match="K >= 2"):
             glue(1, [0.01])
+
+    @pytest.mark.parametrize("epsilons", [[0.1, 0.0], [-0.1, 0.1]])
+    def test_non_positive_budget_rejected(self, epsilons):
+        with pytest.raises(ValueError) as info:
+            glue(2, epsilons)
+        assert str(info.value) == "accuracy budgets must be positive"
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_eps_over_phi_below_float64_reaches_the_ladder_exactly(self, monkeypatch, K):
@@ -570,6 +664,11 @@ class TestAssemble:
     claimed about gap sizes); they exercise the grouping, substitution,
     per-word verification, checkpoints and gap arithmetic end to end.
     """
+
+    def test_needs_two_triples(self):
+        with pytest.raises(ValueError) as info:
+            divergence.assemble([object()], [], [0.1])
+        assert str(info.value) == "need at least two triples"
 
     def test_per_word_bounds_verified(self, construction):
         for achieved, eps in zip(construction.achieved, construction.epsilons):
@@ -792,6 +891,13 @@ class TestSakaiBlowup:
                               reference=None, store_iterates=True)
         assert value == pytest.approx(iteration.sakai_constant(trace), abs=1e-12)
         assert value >= 1.0  # any motion makes the adjacent-pair ratio 1
+
+    def test_needs_two_triples(self):
+        con = self.synthetic_construction()
+        con.K = 1
+        with pytest.raises(ValueError) as info:
+            sakai_blowup(con)
+        assert str(info.value) == "need a construction with K >= 2"
 
     def test_refuses_astronomical_schedules(self, monkeypatch):
         # the checkpoint bound never steps the schedule, however long

@@ -143,6 +143,18 @@ class TestKakutaniGaps:
             assert iteration.kakutani_gaps([full, zero], x0, 2) == [float(np.linalg.norm(x0)), 0.0, 0.0]
             assert iteration.kakutani_gaps([full], x0, 2) == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("spaces, cause", [
+        ([line(1.0, 0.0), line(1.0, 0.0, 0.0)], "subspaces live in different ambient dimensions"),
+        ([], "need at least one subspace"),
+    ])
+    def test_refuses_spaces_as_run_does(self, spaces, cause):
+        # numpy's matmul once named a core-dimension mismatch instead
+        with pytest.raises(ValueError) as gaps:
+            iteration.kakutani_gaps(spaces, np.array([1.0, 0.0]), 3)
+        with pytest.raises(ValueError) as run:
+            iteration.run(spaces, Schedule.periodic([1, 2]), np.array([1.0, 0.0]))
+        assert str(gaps.value) == str(run.value) == cause
+
     def test_start_whose_norm_overflows_is_rejected(self):
         # every gap would be inf: ||x0 - T x0|| squares entries near 1e200
         with pytest.raises(ValueError, match="x0 is too large"):

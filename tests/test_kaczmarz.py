@@ -329,6 +329,8 @@ class TestSystemFiles:
         ("1.5", "malformed sparse row: needs a pair count k >= 0 after c_i"),
         ("1.5 1 0.5 1.0", "malformed sparse row: invalid literal for int() with base 10: '0.5'"),
         ("1.5 1 0 x", "malformed sparse row: could not convert string to float: 'x'"),
+        ("x 1 0 1.0", "malformed sparse row: could not convert string to float: 'x'"),
+        ("1.5 y 0 1.0", "malformed sparse row: invalid literal for int() with base 10: 'y'"),
         ("1.5 1 99999999999999999999 1.0", "column index 99999999999999999999 outside 0..2"),
         ("1.5 2 1 1.0 -99999999999999999999 1.0", "column index -99999999999999999999 outside 0..2"),
     ])

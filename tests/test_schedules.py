@@ -2,6 +2,7 @@ import math
 from itertools import islice
 
 import pytest
+from test_words import shared_tower
 
 from altproj.schedules import (
     Schedule,
@@ -11,7 +12,6 @@ from altproj.schedules import (
     quasiperiod_index,
 )
 from altproj.words import Word
-from tests.test_words import shared_tower
 
 
 def gaps_oracle(values, i):
