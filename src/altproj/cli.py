@@ -90,11 +90,7 @@ _number = _checked(float, "a number")
 
 def _parse_vector(text):
     from .schedules import _letters  # deferred: importing the CLI loads no other altproj module
-    tokens = _letters(text, f"malformed vector {text!r}")
-    try:
-        return np.array([float(t) for t in tokens])
-    except ValueError as exc:
-        raise InputError(f"malformed vector {text!r}: {exc}") from None
+    return np.array(_letters(text, f"malformed vector {text!r}", float))
 
 
 #: Fraction builds 10**exponent exactly, in time and memory growing with it

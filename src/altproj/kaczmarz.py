@@ -177,16 +177,13 @@ def load_system(path, dense=False):
     ``c_i k idx_1 val_1 ... idx_k val_k`` with k >= 0 distinct 0-based
     column indices and no further tokens.
     Dense format (``dense=True``): each line ``a_i1,...,a_iN,c_i``, read by
-    ``linalg.read_rows``, so ``#`` starts a comment anywhere on a line.
+    ``linalg.read_rows``.  Both read lines by ``linalg.read_lines``.
     """
     if dense:
         rows = linalg.read_rows(path, "dense row", "empty system file",
                                 (2, "dense row needs coefficients and a right-hand side"))
         return LinearSystem.from_arrays(rows[:, :-1], rows[:, -1])
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(no, ln) for no, raw in enumerate(fh, start=1) if (ln := raw.strip()) and ln[0] != "#"]
-    if not lines:
-        raise ValueError(f"{path}: empty system file")
+    lines = linalg.read_lines(path, "empty system file")
     no0, header = lines[0]
     try:
         n, j = (int(t) for t in header.split())

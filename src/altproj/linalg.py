@@ -278,20 +278,28 @@ def random_subspace(rng, n, d):
     return Subspace(n, q * np.sign(diag))
 
 
-def read_rows(path, what, empty, short=(1, "")):
-    """Rows of comma-separated decimals from a text file, as one float matrix.
-
-    ``#`` starts a comment anywhere on a line; blank lines are skipped.  Each
-    line is one ``np.array(..., dtype=float)`` call, which reads its tokens
-    as ``float()`` does.  A line is refused at ``path:line`` for a bad token,
-    then for fewer than ``short[0]`` entries, then for another length than
-    the first row's; a file without rows is refused as ``empty``.
-    """
+def read_lines(path, empty):
+    """``(number, text)`` of each line of an input file, numbered from 1, cut
+    at its first ``#`` and stripped; blank lines are skipped, and a file
+    without a line is refused as ``path: empty``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, line) for no, raw in enumerate(fh, start=1)
                  if (line := raw.split("#", 1)[0].strip())]
     if not lines:
         raise ValueError(f"{path}: {empty}")
+    return lines
+
+
+def read_rows(path, what, empty, short=(1, "")):
+    """Rows of comma-separated decimals from a text file, as one float matrix.
+
+    Lines come from ``read_lines``.  Each line is one ``np.array(...,
+    dtype=float)`` call, which reads its tokens as ``float()`` does.  A line
+    is refused at ``path:line`` for a bad token, then for fewer than
+    ``short[0]`` entries, then for another length than the first row's; a
+    file without rows is refused as ``empty``.
+    """
+    lines = read_lines(path, empty)
     width = lines[0][1].count(",") + 1
     rows = np.empty((len(lines), width))
     for i, (no, line) in enumerate(lines):

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import count, cycle
 
+from .linalg import read_lines
 from .words import Word
 
 
@@ -142,30 +143,31 @@ def quasiperiod_bound(s):
     return max(quasiperiod_index(s, i) for i in range(1, s.J + 1))
 
 
-def _letters(text, where):
-    """Tokens of ``text`` separated by commas or whitespace.
+def _letters(text, where, kind=int):
+    """``kind`` of each token of ``text``, separated by commas or whitespace.
 
     An empty field between commas is refused, not skipped, so ``1,,2`` does
-    not run as ``1,2``.
+    not run as ``1,2``.  Every refusal is prefixed with ``where``.
     """
     if "," in text and not all(field.strip() for field in text.split(",")):
         raise ValueError(f"{where}: empty field between commas")
-    return text.replace(",", " ").split()
+    try:
+        return [kind(token) for token in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def parse_schedule(spec, J=None):
-    """Parse a CLI schedule spec: ``periodic:1,2,3`` | ``ruler:J`` | ``file:PATH``."""
+    """Parse a CLI schedule spec: ``periodic:1,2,3`` | ``ruler:J`` | ``file:PATH``,
+    whose lines ``linalg.read_lines`` reads."""
     kind, _, rest = spec.partition(":")
     if not rest:
         raise ValueError(f"malformed schedule spec {spec!r}")
     if kind == "periodic":
-        return Schedule.periodic([int(t) for t in _letters(rest, f"schedule spec {spec!r}")], J=J)
+        return Schedule.periodic(_letters(rest, f"schedule spec {spec!r}"), J=J)
     if kind == "ruler":
         return Schedule.ruler(int(rest))
     if kind == "file":
-        with open(rest, "r", encoding="utf-8") as fh:
-            tokens = _letters(fh.read(), rest)
-        if not tokens:
-            raise ValueError(f"{rest}: empty schedule file")
-        return Schedule.explicit([int(t) for t in tokens], J=J)
+        return Schedule.explicit([letter for no, line in read_lines(rest, "empty schedule file")
+                                  for letter in _letters(line, f"{rest}:{no}")], J=J)
     raise ValueError(f"unknown schedule kind {kind!r}")

@@ -167,7 +167,7 @@ class TestParse:
             parse_schedule("periodic:1,,2")
         path = tmp_path / "seq.txt"
         path.write_text("1, 2,\n, 1\n")
-        with pytest.raises(ValueError, match="seq.txt: empty field between commas$"):
+        with pytest.raises(ValueError, match="seq.txt:1: empty field between commas$"):
             parse_schedule(f"file:{path}")
 
     def test_unknown_kind_rejected(self):
