@@ -175,6 +175,35 @@ def sci(x):
 # -- rotation chain -------------------------------------------------------------
 
 
+def rotation_stages(eps):
+    """Least k >= 3 with cos(pi/2k)^k > 1 - eps, for 0 < eps <= 1/2.
+
+    In logarithms the inequality reads k log1p(-2 sin^2(pi/4k)) >
+    log1p(-eps).  Its left side rises with k and lies below -pi^2/(8k)
+    (log cos x < -x^2/2), so k exceeds q = pi^2/(8 (-log1p(-eps))), by less
+    than 2: the search walks up from floor(q) in at most three comparisons,
+    each decided beyond rounding at a precision above the bits of k.  No
+    cos(pi/2k)^k with k >= 3 is rational, so none is a tie.
+    """
+    def least(num):
+        target = _log1p(num, -num.mpf(eps))
+
+        def passes(k):
+            s = num.sin(num.pi / (4 * k))
+            gap = k * _log1p(num, -2 * s * s) - target
+            if abs(gap) <= _slack(num, target):
+                raise _Undecided
+            return gap > 0
+
+        k = max(3, int(num.pi ** 2 / (8 * -target)))
+        while not passes(k):
+            k += 1
+        return k
+
+    # k < 2/eps <= 2^(2 - e) for eps = m 2^e with 1/2 <= m < 1
+    return _certified(least, _start_bits(2 - math.frexp(eps)[1] + _ROUNDING_BITS))
+
+
 def _perturbation_fits(num, gram, q, w, cos_j, sin_j, r, bound):
     """Whether ||(P_X P_W P_X)^r - P_{h_j}|| < bound for the trial chain member.
 

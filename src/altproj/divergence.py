@@ -79,6 +79,12 @@ from .words import Word
 #: perturbations and tilts at or below float64 rank resolution get no view
 _VIEW_RESOLUTION = linalg.DEFAULT_TOL
 
+#: most rotation stages k(eps) that ``glue`` builds a triple with: each stage
+#: adds two ambient coordinates and a chain member, and k(eps) ~ 1.23/eps,
+#: so this admits eps down to about 6e-4, every default budget up to K = 6
+#: (k = 1263 at 2^-10)
+MAX_STAGES = 2048
+
 FINITE_DIM_CAVEAT = (
     "finite-dimensional ambient space: the infinite schedule must eventually "
     "converge, so this construction demonstrates a non-Cauchy window over its "
@@ -119,18 +125,14 @@ class Unrepresentable:
 def k_of_eps(eps):
     """Smallest k >= 1 with cos(pi/2k)^k strictly above 1 - eps.
 
-    Exact algebraic ties (cos(pi/2)^1 = 0 at eps = 1, cos(pi/4)^2 = 1/2 at
-    eps = 1/2) must not pass the strict inequality, so the comparison carries
-    a small guard against floating-point rounding of the cosine powers.
+    k = 1 never qualifies (cos(pi/2) = 0) and k = 2 exactly when eps > 1/2
+    (cos(pi/4)^2 = 1/2), so the exact ties at eps = 1 and 1/2 fail.  Smaller
+    budgets go to ``_intrinsic.rotation_stages``, exact in a few evaluations
+    at every float eps.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    k = 1
-    while True:
-        value = math.cos(math.pi / (2.0 * k)) ** k
-        if value > 1.0 - eps + 1e-12:
-            return k
-        k += 1
+    return 2 if eps > 0.5 else exact.rotation_stages(eps)
 
 
 @dataclass(eq=False)
@@ -429,13 +431,18 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
             f"sum(4 eps_i) = {budget:.6g} must stay below 1/2 for the checkpoint "
             "iterates to stay near the orthonormal targets")
 
-    # coordinate layout: e_1..e_{K+1} first, then one slab per triple
     k_values = [k_of_eps(e) for e in epsilons]
+    for i, (e, k) in enumerate(zip(epsilons, k_values)):
+        if k > MAX_STAGES:
+            raise ValueError(f"triple {i + 1} (eps = {e:.6g}): k = {k} rotation stages exceed "
+                             f"the limit of {MAX_STAGES}")
+
+    # coordinate layout: e_1..e_{K+1} first, then one slab per triple
     slabs = [2 * (k + 2) - 2 for k in k_values]  # X_i fill + tilt room
     total = (K + 1) + sum(slabs)
     rng = np.random.default_rng(seed)
 
-    basis_e = list(np.eye(total)[:, :K + 1].T)
+    basis_e = list(np.eye(K + 1, total))
     x_spaces = []
     e_spaces = []
     for i, (slab, off) in enumerate(zip(slabs, np.cumsum([K + 1] + slabs[:-1]))):

@@ -159,15 +159,26 @@ def _letters(text, where, kind=int):
 
 def parse_schedule(spec, J=None):
     """Parse a CLI schedule spec: ``periodic:1,2,3`` | ``ruler:J`` | ``file:PATH``,
-    whose lines ``linalg.read_lines`` reads."""
+    whose lines ``linalg.read_lines`` reads.  A refusal names the spec, or
+    the ``path:line`` of a file's token."""
     kind, _, rest = spec.partition(":")
     if not rest:
         raise ValueError(f"malformed schedule spec {spec!r}")
-    if kind == "periodic":
-        return Schedule.periodic(_letters(rest, f"schedule spec {spec!r}"), J=J)
-    if kind == "ruler":
-        return Schedule.ruler(int(rest))
     if kind == "file":
-        return Schedule.explicit([letter for no, line in read_lines(rest, "empty schedule file")
-                                  for letter in _letters(line, f"{rest}:{no}")], J=J)
-    raise ValueError(f"unknown schedule kind {kind!r}")
+        lines = [(f"{rest}:{no}", _letters(line, f"{rest}:{no}"))
+                 for no, line in read_lines(rest, "empty schedule file")]
+        J = J if J is not None else max(max(letters) for _, letters in lines)
+        for where, letters in lines:
+            for letter in letters:
+                if not 1 <= letter <= J:
+                    raise ValueError(f"{where}: letter {letter} outside alphabet 1..{J}")
+        return Schedule.explicit([letter for _, letters in lines for letter in letters], J=J)
+    where = f"schedule spec {spec!r}"
+    if kind == "periodic":
+        pattern = _letters(rest, where)
+    elif kind != "ruler":
+        raise ValueError(f"{where}: unknown schedule kind {kind!r}")
+    try:
+        return Schedule.periodic(pattern, J=J) if kind == "periodic" else Schedule.ruler(int(rest))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

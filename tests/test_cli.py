@@ -157,6 +157,9 @@ class TestRun:
         ("1,2", "periodic:1,,2", "schedule spec 'periodic:1,,2': empty field between commas"),
         # a field that is not a number is named as float() names it
         ("1,a", "periodic:1,2", "malformed vector '1,a': could not convert string to float: 'a'"),
+        # every schedule refusal names its spec
+        ("1,2", "ruler:x", "schedule spec 'ruler:x': invalid literal for int() with base 10: 'x'"),
+        ("1,2", "periodic:0", "schedule spec 'periodic:0': index 0 outside alphabet 1..2"),
     ])
     def test_empty_comma_field_exits_one(self, tmp_path, two_lines, capsys, x0, schedule, cause):
         out = tmp_path / "t.csv"
@@ -164,6 +167,21 @@ class TestRun:
             "run", "--spaces", *two_lines, "--schedule", schedule, "--x0", x0, "--out", str(out)])
         assert code == 1 and stdout == ""
         assert [ln for ln in stderr.splitlines() if "error" in ln] == [f"altproj run: error: {cause}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, cause", [
+        ("1\n\n3\n", "3: letter 3 outside alphabet 1..2"),
+        ("# c\n\n", " empty schedule file"),
+    ])
+    def test_schedule_file_refusal_names_the_line(self, tmp_path, two_lines, capsys, text, cause):
+        path = write(tmp_path / "s.txt", text)
+        out = tmp_path / "t.csv"
+        code, stdout, stderr = run_main(capsys, [
+            "run", "--spaces", *two_lines, "--schedule", f"file:{path}", "--x0", "1,2",
+            "--out", str(out)])
+        assert code == 1 and stdout == ""
+        assert ([ln for ln in stderr.splitlines() if "error" in ln]
+                == [f"altproj run: error: {path}:{cause}"])
         assert not out.exists()
 
     def test_whitespace_still_separates_entries(self, tmp_path, two_lines, capsys):
@@ -340,6 +358,21 @@ class TestDiverge:
             "diverge", "--K", "2", "--eps", "0.2,0.2", "--out", str(tmp_path / "c.json")])
         assert code == 1
         assert "1/2" in stderr
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["--eps", "1e-13,1e-13"], "triple 1 (eps = 1e-13): k = 12337005501362"),
+        # the default budgets reach 2^-40 at K = 36
+        (["--K", "36"], "triple 7 (eps = 0.000488281): k = 2527"),
+    ], ids=["eps-1e-13", "K-36"])
+    def test_stages_beyond_the_limit_exit_one(self, tmp_path, argv, cause):
+        # in a child with a time limit: a scan for k never ended below eps = 1e-12
+        proc = subprocess.run([sys.executable, "-m", "altproj.cli", "diverge", *argv,
+                               "--out", str(tmp_path / "c.json")],
+                              capture_output=True, text=True, check=False, timeout=20)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert ([ln for ln in proc.stderr.splitlines() if "error" in ln]
+                == [f"altproj diverge: error: {cause} rotation stages exceed the limit of 2048"])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("eps, cause", [
         ("1/2/3,1/64", "Invalid literal for Fraction: '1/2/3'"),

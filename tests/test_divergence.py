@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import relaxed_construction, word_matrix
@@ -56,6 +57,31 @@ class TestKOfEps:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             k_of_eps(0.0)
+
+    def test_matches_the_mpmath_least_k(self):
+        # least k by a 256-bit mpmath bisection; at 1e-6 float64 cos(pi/2k)^k
+        # cannot tell consecutive k apart, and a scan stopped at 1,233,655
+        pins = {0.45: 3, 2.0**-5: 39, 2.0**-6: 79, 2.0**-7: 158, 2.0**-8: 316, 2.0**-9: 632,
+                2.0**-10: 1263, 1e-4: 12337, 1e-6: 1233700}
+        assert {eps: k_of_eps(eps) for eps in pins} == pins
+
+    def test_tiny_budgets_give_the_exact_least_k(self):
+        # in a child with a time limit: a scan with an absolute guard of 1e-12
+        # never ends below eps = 1e-12, and takes minutes at 1e-9
+        tiny = [1e-9, 1e-13, 2.0**-40, 1e-100, 5e-324]
+        proc = subprocess.run(
+            [sys.executable, "-c", "from altproj.divergence import k_of_eps; "
+             f"print(*(k_of_eps(e) for e in {tiny!r}))"],
+            capture_output=True, text=True, check=True, timeout=20)
+        ks = [int(token) for token in proc.stdout.split()]
+        assert ks[:2] == [1233700550, 12337005501362]
+        for eps, k in zip(tiny, ks):
+            mp = mpmath.MPContext()
+            mp.prec = 3 * k.bit_length() + 64
+
+            def above(j):
+                return j * mp.log(mp.cos(mp.pi / (2 * j))) > mp.log1p(-mp.mpf(eps))
+            assert above(k) and not above(k - 1), eps
 
 
 @pytest.fixture(scope="module")
@@ -525,6 +551,21 @@ class TestGlue:
     def test_wrong_budget_count_rejected(self):
         with pytest.raises(ValueError, match="expected 2"):
             glue(2, [0.01])
+
+    @pytest.mark.parametrize("K, epsilons, cause", [
+        (2, [1e-4, 1e-4], "triple 1 (eps = 0.0001): k = 12337"),
+        # the default budgets 2^-(i+4) first pass the limit at triple 7
+        (7, [2.0 ** -(i + 4) for i in range(1, 8)], "triple 7 (eps = 0.000488281): k = 2527"),
+    ])
+    def test_stages_beyond_the_limit_are_refused_before_the_layout(self, monkeypatch, K,
+                                                                   epsilons, cause):
+        def layout(*args, **kwargs):
+            raise AssertionError("the coordinate layout was built")
+        monkeypatch.setattr(np, "eye", layout)
+        monkeypatch.setattr(linalg, "random_subspace", layout)
+        with pytest.raises(ValueError) as info:
+            glue(K, epsilons)
+        assert str(info.value) == f"{cause} rotation stages exceed the limit of 2048"
 
     def test_k_minimum(self):
         with pytest.raises(ValueError, match="K >= 2"):

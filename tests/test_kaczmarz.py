@@ -269,6 +269,14 @@ class TestSystemFiles:
         assert np.allclose(system.matrix(), [[1.0, 0.0, -2.0], [0.0, 3.0, 0.0]])
         assert np.allclose(system.rhs(), [1.5, -4.0])
 
+    def test_inline_comment_in_a_sparse_row(self, tmp_path):
+        plain, noted = tmp_path / "plain.txt", tmp_path / "noted.txt"
+        plain.write_text("3 2\n1.5 2 0 1.0 2 -2.0\n-4 1 1 3.0\n")
+        noted.write_text("3 2  # n J\n1.5 2 0 1.0 2 -2.0  # x - 2z = 1.5\n-4 1 1 3.0#\n")
+        solved = [kaczmarz.solve(kaczmarz.load_system(p), np.zeros(3), max_sweeps=50).x.tobytes()
+                  for p in (plain, noted)]
+        assert solved[0] == solved[1]
+
     def test_dense_round_trip(self, tmp_path):
         path = tmp_path / "dense.csv"
         path.write_text("1,0,2\n0,1,3\n")

@@ -5,7 +5,9 @@ one ``float()`` per token, kept as oracles.  The dense one takes the
 subspace file's comment rule, the one intended change: a ``#`` anywhere
 starts a comment, where the earlier loader skipped only lines that begin
 with one.  Every drawn file must give arrays of equal bytes, or errors of
-equal text.
+equal text.  Sparse system files share that comment rule through
+``linalg.read_lines``: each drawn one must load as the same file with its
+comments cut.
 """
 
 import numpy as np
@@ -109,6 +111,36 @@ def comma_files(draw, least):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+#: sparse-row values: nonzero finite float() spellings without whitespace
+NUMBER = st.one_of(st.floats(1e-3, 1e3).map(repr), st.integers(-99, -1).map(str),
+                   st.sampled_from(["1_0", "+2.5", "-1e3"]))
+
+
+@st.composite
+def sparse_files(draw):
+    """Text of a sparse system file: a header ``n J`` and rows ``c_i k idx
+    val ...`` with now and then a wrong row count, pair count, column index
+    or token, between blank lines and whole-line comments; any line may
+    carry an inline comment."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 4))
+    lines = [f"{n} {rows + draw(st.sampled_from([0] * 8 + [-1, 1]))}"]
+    for _ in range(rows):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  ", "# a comment", "  # 1 1 0 2"])))
+        kind = draw(st.sampled_from(["row"] * 8 + ["count", "index", "bad"]))
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        if kind == "index":
+            idx.append(draw(st.sampled_from([-1, n, idx[0]])))
+        tokens = [draw(NUMBER), str(len(idx) + (kind == "count"))]
+        tokens += [t for i in idx for t in (str(i), draw(NUMBER))]
+        if kind == "bad":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(["x", "0.5", "1e", "--1"]))
+        lines.append(" ".join(tokens))
+    lines = [line + draw(st.sampled_from(["", "", "  # inline", "#", " # 1 2 3"])) for line in lines]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
 @pytest.fixture(scope="module")
 def text_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
@@ -142,6 +174,14 @@ class TestReaderMatchesTheParentLoaders:
             return system_arrays(LinearSystem.from_arrays(rows[:, :-1], rows[:, -1]))
         assert (outcome(lambda: system_arrays(kaczmarz.load_system(path, dense=True)))
                 == outcome(parent))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=sparse_files())
+    def test_sparse_system_files(self, text_file, text):
+        path = text_file(text)
+        loaded = outcome(lambda: system_arrays(kaczmarz.load_system(path)))
+        text_file("\n".join(line.split("#", 1)[0] for line in text.split("\n")))
+        assert outcome(lambda: system_arrays(kaczmarz.load_system(path))) == loaded
 
     @pytest.mark.parametrize("text, line, cause", [
         # a bad token before a ragged row, and a ragged row before a bad token

@@ -161,6 +161,23 @@ class TestParse:
         assert [s.emit(n) for n in range(1, 5)] == [1, 2, 2, 1]
         with pytest.raises(ScheduleExhausted):
             s.emit(5)
+        # comments and blank lines leave the same schedule
+        path.write_text("# order\n\n1 2, 2  # first\n   \n1#\n")
+        assert list(parse_schedule(f"file:{path}").indices()) == list(s.indices())
+
+    @pytest.mark.parametrize("text, cause", [
+        ("1 2\n# c\n2 x 1\n", "3: invalid literal for int() with base 10: 'x'"),
+        # a comma at either end of a line is an empty field, wherever the line sits
+        ("1,\n2\n", "1: empty field between commas"),
+        ("1\n,2\n", "2: empty field between commas"),
+        ("1\n\n0\n", "3: letter 0 outside alphabet 1..3"),
+    ])
+    def test_file_token_refused_at_its_line(self, tmp_path, text, cause):
+        path = tmp_path / "seq.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            parse_schedule(f"file:{path}", J=3)
+        assert str(info.value) == f"{path}:{cause}"
 
     def test_empty_field_between_commas_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"^schedule spec 'periodic:1,,2': empty field between commas$"):
