@@ -58,6 +58,8 @@ class _Float64:
     sin = staticmethod(math.sin)
     exp = staticmethod(math.exp)
     log = staticmethod(math.log)
+    ldexp = staticmethod(math.ldexp)
+    floor = staticmethod(math.floor)
 
 
 _FLOAT64 = _Float64()
@@ -112,8 +114,14 @@ def _start_bits(log2_exponent):
 
 def _slack(num, scale, rounding=_ROUNDING_BITS):
     """The rounding bound of a result of magnitude ``scale``."""
-    return abs(scale) * (math.ldexp(1.0, rounding - num.prec) if num is _FLOAT64
-                         else num.ldexp(num.mpf(1), rounding - num.prec))
+    return abs(scale) * num.ldexp(num.mpf(1), rounding - num.prec)
+
+
+def _positive(num, value, scale, rounding=_ROUNDING_BITS):
+    """value > 0 for a result of magnitude ``scale``; ``_Undecided`` within its rounding."""
+    if abs(value) <= _slack(num, scale, rounding):
+        raise _Undecided
+    return value > 0
 
 
 def _log1p(num, x):
@@ -136,18 +144,9 @@ def _log1p(num, x):
 
 def _floor(num, q):
     """floor(q) as an int, decided beyond the rounding of q."""
-    f = math.floor(q) if num is _FLOAT64 else num.floor(q)
-    slack = _slack(num, q, _QUOTIENT_ROUNDING_BITS)
-    if q - f > slack and f + 1 - q > slack:
-        return int(f)
-    raise _Undecided
-
-
-def _less(num, x, y):
-    """x < y for a few correctly rounded operations' results, decided beyond rounding."""
-    if abs(x - y) <= _slack(num, y, _QUOTIENT_ROUNDING_BITS):
-        raise _Undecided
-    return x < y
+    f = num.floor(q)
+    _positive(num, min(q - f, f + 1 - q), q, _QUOTIENT_ROUNDING_BITS)  # both >= 0: True or raises
+    return int(f)
 
 
 def _sines(num, k):
@@ -190,10 +189,7 @@ def rotation_stages(eps):
 
         def passes(k):
             s = num.sin(num.pi / (4 * k))
-            gap = k * _log1p(num, -2 * s * s) - target
-            if abs(gap) <= _slack(num, target):
-                raise _Undecided
-            return gap > 0
+            return _positive(num, k * _log1p(num, -2 * s * s) - target, target)
 
         k = max(3, int(num.pi ** 2 / (8 * -target)))
         while not passes(k):
@@ -253,13 +249,7 @@ def _positive_definite3(num, a):
     terms = (a[0][0] * a[1][1] * a[2][2], -a[0][0] * a[1][2] ** 2, -a[0][1] ** 2 * a[2][2],
              2 * a[0][1] * a[1][2] * a[0][2], -a[1][1] * a[0][2] ** 2)
     minors += ((sum(terms), sum(abs(t) for t in terms)),)
-    for value, scale in minors:
-        slack = _slack(num, scale)
-        if value < -slack:
-            return False
-        if value <= slack:
-            raise _Undecided
-    return True
+    return all(_positive(num, value, scale) for value, scale in minors)
 
 
 def _rotation_stage(num, k, j, alphas, gram, bound, r_cap):
@@ -537,7 +527,7 @@ def _tilt_steps(num, k, eps, top, a, s_cap):
         return _floor(num, kill / rate(beta)) + 1
 
     def keeps(s, beta):  # 1 - (1 + beta^2)^-s < eps
-        return _less(num, _value(num, s) * rate(beta), keep)
+        return _positive(num, keep - _value(num, s) * rate(beta), keep, _QUOTIENT_ROUNDING_BITS)
 
     def capped(j, s):
         if s_cap is not None and s > s_cap:

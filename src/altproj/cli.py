@@ -223,17 +223,27 @@ def cmd_angle(args):
 def cmd_diverge(args):
     from . import divergence
 
-    epsilons = (_parse_eps_list(args.eps) if args.eps
-                else [2.0 ** (-(i + 4)) for i in range(1, args.K + 1)])
+    if args.eps:
+        epsilons = _parse_eps_list(args.eps)
+        if args.K is not None and args.K != len(epsilons):
+            raise InputError(
+                f"--K {args.K} disagrees with the {len(epsilons)} accuracy budgets of --eps")
+    else:
+        # 2^-(i+4) up to the first budget past the stage limit, which glue refuses by name
+        epsilons = []
+        for i in range(1, (2 if args.K is None else args.K) + 1):
+            epsilons.append(2.0 ** (-(i + 4)))
+            if divergence.k_of_eps(epsilons[-1]) > divergence.MAX_STAGES:
+                break
     try:
-        construction = divergence.glue(args.K, epsilons, seed=args.seed,
+        construction = divergence.glue(len(epsilons), epsilons, seed=args.seed,
                                        r_cap=args.r_cap, s_cap=args.s_cap)
     except divergence.ExponentCapExceeded as exc:
         raise InputError(str(exc)) from None
     trace_path = args.trace or (args.out + ".trace.csv")
     report = {
         "command": "diverge",
-        "inputs": {"K": args.K, "epsilons": epsilons, "seed": args.seed,
+        "inputs": {"K": len(epsilons), "epsilons": epsilons, "seed": args.seed,
                    "r_cap": args.r_cap, "s_cap": args.s_cap},
         "ambient_dim": construction.ambient_dim,
         "K": construction.K,
@@ -326,10 +336,11 @@ def build_parser():
     p.set_defaults(func=cmd_angle, default_out="rates.csv")
 
     p = sub.add_parser("diverge", help="build the non-Cauchy-window construction")
-    p.add_argument("--K", type=_integer, default=2, help="number of glued triples")
+    p.add_argument("--K", type=_integer, default=None,
+                   help="number of glued triples (default: the number of --eps budgets, else 2)")
     p.add_argument("--eps", default=None,
                    help="comma list of accuracy budgets (fractions like 1/32 allowed); "
-                        "default 2^-(i+4)")
+                        "default 2^-(i+4) for i = 1..K")
     p.add_argument("--r-cap", type=_cap, default=None, dest="r_cap",
                    help="refuse rotation exponents r above this (default: no cap)")
     p.add_argument("--s-cap", type=_cap, default=None, dest="s_cap",

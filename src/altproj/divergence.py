@@ -402,7 +402,7 @@ class GluedConstruction:
 def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
     """Chain K triples into three subspaces and one schedule.
 
-    Preconditions: K >= 2 and sum(4 eps_i) < 1/2 (the budget that keeps the
+    Preconditions: K >= 2, seed >= 0 and sum(4 eps_i) < 1/2 (the budget that keeps the
     checkpoint iterates near the orthonormal e_i).  The word lengths grow
     beyond any stepping (that growth is the mechanism that defeats norm
     convergence in infinite dimension), so the construction is evaluated
@@ -425,6 +425,8 @@ def glue(K, epsilons, seed=0, r_cap=None, s_cap=None):
         raise ValueError(f"expected {K} accuracy budgets, got {len(epsilons)}")
     if any(e <= 0 for e in epsilons):
         raise ValueError("accuracy budgets must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     budget = 4.0 * sum(epsilons)
     if budget >= 0.5:
         raise BudgetExceeded(

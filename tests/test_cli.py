@@ -361,18 +361,53 @@ class TestDiverge:
 
     @pytest.mark.parametrize("argv, cause", [
         (["--eps", "1e-13,1e-13"], "triple 1 (eps = 1e-13): k = 12337005501362"),
-        # the default budgets reach 2^-40 at K = 36
-        (["--K", "36"], "triple 7 (eps = 0.000488281): k = 2527"),
-    ], ids=["eps-1e-13", "K-36"])
+        # the default ladder 2^-(i+4) first passes the limit at triple 7; it
+        # reaches 2^-40 at K = 36 and underflows to 0 from K = 1071 on
+        *[(["--K", str(K)], "triple 7 (eps = 0.000488281): k = 2527")
+          for K in (7, 36, 1100, 10**7, 10**12)],
+    ], ids=["eps-1e-13", "K-7", "K-36", "K-1100", "K-1e7", "K-1e12"])
     def test_stages_beyond_the_limit_exit_one(self, tmp_path, argv, cause):
-        # in a child with a time limit: a scan for k never ended below eps = 1e-12
+        # in a child with a time limit and a 2 GiB address space: a scan for k
+        # never ended below eps = 1e-12, and a default ladder of K budgets
+        # built in full would take gigabytes
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
         proc = subprocess.run([sys.executable, "-m", "altproj.cli", "diverge", *argv,
-                               "--out", str(tmp_path / "c.json")],
+                               "--out", str(tmp_path / "c.json")], preexec_fn=limit,
                               capture_output=True, text=True, check=False, timeout=20)
         assert proc.returncode == 1 and proc.stdout == ""
         assert ([ln for ln in proc.stderr.splitlines() if "error" in ln]
                 == [f"altproj diverge: error: {cause} rotation stages exceed the limit of 2048"])
+        [elapsed] = [ln for ln in proc.stderr.splitlines() if "elapsed_ms=" in ln]
+        assert float(elapsed.split("=")[1]) < 1000
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["diverge", "--K", "2", "--eps", "0.04,0.04,0.04"],
+         "--K 2 disagrees with the 3 accuracy budgets of --eps"),
+        (["diverge", "--K", "4", "--eps", "0.04,0.04,0.04"],
+         "--K 4 disagrees with the 3 accuracy budgets of --eps"),
+        (["--seed", "-1", "diverge", "--K", "2", "--eps", "0.06,0.06"],
+         "seed must be non-negative, got -1"),
+    ], ids=["K-below-eps", "K-above-eps", "negative-seed"])
+    def test_inconsistent_inputs_are_refused_by_name(self, tmp_path, capsys, argv, cause):
+        out = tmp_path / "c.json"
+        code, stdout, stderr = run_main(capsys, argv + ["--out", str(out)])
+        assert code == 1
+        assert stdout == "" and not out.exists()
+        errors = [ln for ln in stderr.splitlines() if "error" in ln]
+        assert errors == [f"altproj diverge: error: {cause}"]
+
+    def test_eps_alone_sets_K(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        code, stdout, stderr = run_main(capsys, [
+            "diverge", "--eps", "0.04,0.04,0.04", "--out", str(out)])
+        assert code == 0, stderr
+        report = json.loads(stdout)
+        assert report["inputs"]["K"] == report["K"] == len(report["triples"]) == 3
 
     @pytest.mark.parametrize("eps, cause", [
         ("1/2/3,1/64", "Invalid literal for Fraction: '1/2/3'"),

@@ -497,15 +497,39 @@ class TestCertification:
         assert seen[-1] == bits
 
     def test_decisions_within_rounding_are_undecided(self):
-        from altproj._intrinsic import _FLOAT64, _floor, _less, _positive_definite3, _Undecided
+        from altproj._intrinsic import (_FLOAT64, _QUOTIENT_ROUNDING_BITS, _floor, _positive,
+                                        _positive_definite3, _Undecided)
 
-        assert _floor(_FLOAT64, 3.5) == 3 and _less(_FLOAT64, 1.0, 2.0) is True
+        # 1.0 < 2.0, and 1.0 < 1.0 + 2^-52 within rounding, as keep - s rate(beta) > 0
+        assert _floor(_FLOAT64, 3.5) == 3
+        assert _positive(_FLOAT64, 2.0 - 1.0, 2.0, _QUOTIENT_ROUNDING_BITS) is True
         assert _positive_definite3(_FLOAT64, np.eye(3).tolist()) is True
         singular = np.diag([1.0, 1.0, 0.0]).tolist()
-        for decide in (lambda: _floor(_FLOAT64, 3.0), lambda: _less(_FLOAT64, 1.0, 1.0 + 2**-52),
+        for decide in (lambda: _floor(_FLOAT64, 3.0),
+                       lambda: _positive(_FLOAT64, (1.0 + 2**-52) - 1.0, 1.0 + 2**-52,
+                                         _QUOTIENT_ROUNDING_BITS),
                        lambda: _positive_definite3(_FLOAT64, singular)):
             with pytest.raises(_Undecided):
                 decide()
+
+    @pytest.mark.parametrize("bits", [53, 200])
+    def test_positive_is_decided_only_beyond_the_slack(self, bits):
+        from altproj._intrinsic import _context, _positive, _slack, _Undecided
+
+        num = _context(bits)
+        scale = num.mpf(3)
+        slack = _slack(num, scale)
+        for value, verdict in ((2 * slack, True), (-2 * slack, False)):
+            assert _positive(num, value, scale) is verdict
+        for value in (slack / 2, -slack / 2, 0 * slack):
+            with pytest.raises(_Undecided):
+                _positive(num, value, scale)
+        # between the 3-bit and the 8-bit slack
+        value = 4 * _slack(num, scale, 3)
+        assert value < slack
+        assert _positive(num, value, scale, 3) is True
+        with pytest.raises(_Undecided):
+            _positive(num, value, scale, 8)
 
     def test_tier_basis_cancellation_is_undecided(self):
         # the tier sums cancel down to alpha_min^2 = 2^-160 of their terms
@@ -566,6 +590,15 @@ class TestGlue:
         with pytest.raises(ValueError) as info:
             glue(K, epsilons)
         assert str(info.value) == f"{cause} rotation stages exceed the limit of 2048"
+
+    def test_negative_seed_is_refused_before_the_layout(self, monkeypatch):
+        def layout(*args, **kwargs):
+            raise AssertionError("the coordinate layout was built")
+        monkeypatch.setattr(np.random, "default_rng", layout)
+        monkeypatch.setattr(np, "eye", layout)
+        with pytest.raises(ValueError) as info:
+            glue(2, [0.06, 0.06], seed=-1)
+        assert str(info.value) == "seed must be non-negative, got -1"
 
     def test_k_minimum(self):
         with pytest.raises(ValueError, match="K >= 2"):
