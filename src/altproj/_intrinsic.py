@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -372,18 +373,18 @@ def _sandwich_powers(num, blocks, lines, chol, groups, states):
     for ds, r in groups:
         k_mat = [[zero] * m for _ in range(m)]
         for (u_row, v_row, ia, ib), d in zip(blocks, ds):
-            d2 = [dc * dc for dc in d]
-            k_mat[ia][ia] = sum(f * f * dc for f, dc in zip(u_row, d2))
-            k_mat[ib][ib] = sum(f * f * dc for f, dc in zip(v_row, d2))
-            k_mat[ia][ib] = k_mat[ib][ia] = sum(f * g * dc for f, g, dc in zip(u_row, v_row, d2))
+            d2 = list(map(mul, d, d))
+            k_mat[ia][ia] = sum(map(mul, map(mul, u_row, u_row), d2))
+            k_mat[ib][ib] = sum(map(mul, map(mul, v_row, v_row), d2))
+            k_mat[ia][ib] = k_mat[ib][ia] = sum(map(mul, map(mul, u_row, v_row), d2))
         for e in lines:
             k_mat[e][e] = 1 + zero
         vectors = []
         for y, line_vals in states:
             a = [zero] * m
             for (u_row, v_row, ia, ib), d, yb in zip(blocks, ds, y):
-                a[ia] = sum(f * dc * yc for f, dc, yc in zip(u_row, d, yb))
-                a[ib] = sum(f * dc * yc for f, dc, yc in zip(v_row, d, yb))
+                a[ia] = sum(map(mul, map(mul, u_row, d), yb))
+                a[ib] = sum(map(mul, map(mul, v_row, d), yb))
             for e in lines:
                 a[e] = line_vals[e]
             vectors.append(a)
@@ -398,19 +399,22 @@ def _power_action(num, k_mat, chol, r, vectors):
     """(C K)^(r-1) C a for each a in ``vectors``, with C = L L^T, through the
     symmetric L^T K L: one eigendecomposition serves every vector."""
     m = len(k_mat)
-    kl = [[sum(k_mat[i][p] * chol[p][j] for p in range(m)) for j in range(m)] for i in range(m)]
-    t_mat = [[sum(chol[p][i] * kl[p][j] for p in range(m)) for j in range(m)] for i in range(m)]
+    chol_t = list(zip(*chol))
+    kl = [[sum(map(mul, row, col)) for col in chol_t] for row in k_mat]
+    kl_t = list(zip(*kl))
+    t_mat = [[sum(map(mul, ci, col)) for col in kl_t] for ci in chol_t]
     vals, vecs = _eigh(num, t_mat)
     scale = [1] * m
     if r > 1:  # eigenvalues lie in [0, 1]: L^T K L is a compressed product of contractions
         power = _value(num, r - 1)
         scale = [num.exp(power * num.log(min(tau, 1))) if tau > 0 else 0 * tau for tau in vals]
+    vecs_t = list(zip(*vecs))
     out = []
     for a in vectors:
-        b = [sum(chol[p][i] * a[p] for p in range(m)) for i in range(m)]
-        proj = [sum(vecs[p][i] * b[p] for p in range(m)) * scale[i] for i in range(m)]
-        c = [sum(vecs[i][p] * proj[p] for p in range(m)) for i in range(m)]
-        out.append([sum(chol[i][p] * c[p] for p in range(m)) for i in range(m)])
+        b = [sum(map(mul, ci, a)) for ci in chol_t]
+        proj = [sum(map(mul, vi, b)) * si for vi, si in zip(vecs_t, scale)]
+        c = [sum(map(mul, row, proj)) for row in vecs]
+        out.append([sum(map(mul, row, c)) for row in chol])
     return out
 
 
@@ -519,9 +523,12 @@ def _tilt_steps(num, k, eps, top, a, s_cap):
     """The ladder of ``tilt_ladder`` with every decision taken in ``num``."""
     kill = -num.log(_value(num, eps))
     keep = -_log1p(num, -_value(num, eps))
+    rates = {}  # log1p(beta^2) in ``num``: each beta is tried up to three times
 
     def rate(beta):
-        return _log1p(num, _value(num, beta * beta))
+        if beta not in rates:
+            rates[beta] = _log1p(num, _value(num, beta * beta))
+        return rates[beta]
 
     def smallest_killing(beta):  # least s with (1 + beta^2)^-s < eps
         return _floor(num, kill / rate(beta)) + 1

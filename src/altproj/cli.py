@@ -223,11 +223,16 @@ def cmd_angle(args):
 def cmd_diverge(args):
     from . import divergence
 
+    if args.K is not None and args.K < 2:
+        raise InputError(f"--K {args.K} is below 2: the construction glues at least two triples")
     if args.eps:
         epsilons = _parse_eps_list(args.eps)
         if args.K is not None and args.K != len(epsilons):
             raise InputError(
                 f"--K {args.K} disagrees with the {len(epsilons)} accuracy budgets of --eps")
+        if len(epsilons) < 2:
+            raise InputError("--eps gives one accuracy budget: the construction glues "
+                             "at least two triples, one budget each")
     else:
         # 2^-(i+4) up to the first budget past the stage limit, which glue refuses by name
         epsilons = []

@@ -235,7 +235,9 @@ def _tilt_view(chain, x_space, e_space, betas):
     view's principal angles to X are cross-checked: the largest sine must be
     ``_tilt_gap`` of the largest gamma, and the smallest must be positive.
     The adapted basis is one CGS2 pass over the stacked bases of the chain
-    and X; the tier sizes are the steps in dimension along the chain.
+    and X; the tier sizes are the steps in dimension along the chain.  A
+    member whose basis opens the next one's, as ``_chain_views`` builds
+    them, is left out: CGS2 would drop its columns there again.
     """
     for member in chain:
         if isinstance(member, Unrepresentable):
@@ -244,7 +246,9 @@ def _tilt_view(chain, x_space, e_space, betas):
         return Unrepresentable(f"tilt beta_1 = {exact.sci(min(betas))} is below float64 resolution")
     n = x_space.ambient_dim
     nested = list(chain) + [x_space]
-    adapted = linalg.orthonormalize(np.hstack([s.basis for s in nested]).T, ambient_dim=n)
+    stacked = [s.basis for s, after in zip(nested, nested[1:])
+               if not np.array_equal(s.basis, after.basis[:, :s.dim])] + [x_space.basis]
+    adapted = linalg.orthonormalize(np.hstack(stacked).T, ambient_dim=n)
     if adapted.dim != x_space.dim:
         raise ValueError("chain basis extension does not fill the top subspace")
     tier_sizes = np.diff([0] + [s.dim for s in nested])

@@ -3,8 +3,8 @@
 Everything downstream (iteration, angle analysis, the Kaczmarz solver, the
 non-convergence construction) is built on the primitives here: orthonormal
 bases, projection application, subspace algebra (sum, principal angles and
-the intersection, containment and equality read from them, orthogonal
-complement) and spectral operator norms.
+the intersection read from them, containment and equality by the largest
+principal sine, orthogonal complement) and spectral operator norms.
 
 Subspaces are stored as matrices with orthonormal columns.  Bases are never
 unique, so subspace comparisons are made on principal angles, which do not
@@ -31,7 +31,7 @@ def _finite(a, ndim, what):
     m = np.asarray(a, dtype=float)
     if m.ndim != ndim:
         raise ValueError(f"expected a {what}, got array of shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
     return m
 
@@ -77,7 +77,9 @@ class Subspace:
             raise ValueError(f"basis rows {n} do not match ambient dimension {self.ambient_dim}")
         if d > n:
             raise ValueError(f"basis has {d} columns in ambient dimension {n}")
-        if np.max(np.abs(b.T @ b - np.eye(d)), initial=0.0) > BASIS_ORTHO_TOL:
+        gram = b.T @ b
+        gram.flat[::d + 1] -= 1.0  # Q^T Q - I
+        if np.max(np.abs(gram), initial=0.0) > BASIS_ORTHO_TOL:
             raise ValueError("basis columns are not orthonormal")
         b = b.copy()
         b.flags.writeable = False
@@ -236,13 +238,14 @@ def intersect(subspaces, tol=DEFAULT_TOL):
 def contains(outer, inner, tol=DEFAULT_TOL):
     """True when ``inner`` lies in ``outer``: every principal angle has sine <= ``tol``.
 
-    The largest sine is ||(I - P_outer) Q_inner||, so the verdict does not
-    depend on the basis of either subspace.
+    The largest sine is ||(I - P_outer) Q_inner||, computed as such, so the
+    verdict does not depend on the basis of either subspace.
     """
     common_dim(outer, inner)
     if inner.dim > outer.dim:
         return False
-    return float(np.max(principal_angles(outer, inner).sin, initial=0.0)) <= tol
+    q1, q2 = outer.basis, inner.basis
+    return operator_norm(q2 - q1 @ (q1.T @ q2)) <= tol
 
 
 def subspaces_equal(s1, s2, tol=DEFAULT_TOL):

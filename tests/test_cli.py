@@ -392,7 +392,13 @@ class TestDiverge:
          "--K 4 disagrees with the 3 accuracy budgets of --eps"),
         (["--seed", "-1", "diverge", "--K", "2", "--eps", "0.06,0.06"],
          "seed must be non-negative, got -1"),
-    ], ids=["K-below-eps", "K-above-eps", "negative-seed"])
+        (["diverge", "--K", "1"], "--K 1 is below 2: the construction glues at least two triples"),
+        (["diverge", "--K", "0"], "--K 0 is below 2: the construction glues at least two triples"),
+        (["diverge", "--eps", "0.04"], "--eps gives one accuracy budget: the construction glues "
+                                      "at least two triples, one budget each"),
+        (["diverge", "--K", "1", "--eps", "0.04"],
+         "--K 1 is below 2: the construction glues at least two triples"),
+    ], ids=["K-below-eps", "K-above-eps", "negative-seed", "K-1", "K-0", "one-eps", "K-1-one-eps"])
     def test_inconsistent_inputs_are_refused_by_name(self, tmp_path, capsys, argv, cause):
         out = tmp_path / "c.json"
         code, stdout, stderr = run_main(capsys, argv + ["--out", str(out)])

@@ -208,16 +208,22 @@ class TestReplaceProjection:
             power = np.linalg.matrix_power(sandwich, s_j)
             assert linalg.operator_norm(power - linalg.projection_matrix(x_j)) < 0.1
 
-    def test_diagonal_action(self):
+    @pytest.mark.parametrize("rotated", [False, True], ids=["prefix", "rotated"])
+    def test_diagonal_action(self, rotated):
+        # the rotated X_1 = span{e1 + e2, e3} is no column prefix of X_2's basis
         e = linalg.Subspace.full(8)
         x = coordinate_subspace(8, 4)
-        chain = [coordinate_subspace(8, 2), coordinate_subspace(8, 3)]
+        ident = np.eye(8)
+        tiers = [ident[:, 0], ident[:, 1], ident[:, 2], ident[:, 3]]
+        if rotated:
+            tiers[:3] = [(ident[:, 0] + ident[:, 1]) / np.sqrt(2.0), ident[:, 2],
+                         (ident[:, 0] - ident[:, 1]) / np.sqrt(2.0)]
+        chain = [linalg.Subspace(8, np.column_stack(tiers[:2])), coordinate_subspace(8, 3)]
         y, s, betas = replace_projection(chain, x, e, eps=0.1, eta=0.5, a=1)
         p = linalg.projection_matrix(x) @ linalg.projection_matrix(y) @ linalg.projection_matrix(x)
         gammas = [betas[0], betas[0], betas[1], betas[2]]
-        for i, gamma in enumerate(gammas):
-            e_i = np.eye(8)[:, i]
-            assert np.linalg.norm(p @ e_i - e_i / (1.0 + gamma**2)) <= 1e-10
+        for v, gamma in zip(tiers, gammas):
+            assert np.linalg.norm(p @ v - v / (1.0 + gamma**2)) <= 1e-10
 
     def test_degenerate_chain_is_near_identity_on_x(self):
         e = linalg.Subspace.full(6)
@@ -345,6 +351,25 @@ class TestChainViews:
                 for member in quarter_circle(x, ident[:, i], ident[:, i + 1], 0.45).chain:
                     digest.update(member.basis.tobytes())
         assert digest.hexdigest() == self.DIGESTS[K]
+
+    # sha256 of every tilt view Y and of M1-M3 of the eps = 0.45
+    # constructions, seeds 0-2: the adapted bases and the glued unions
+    # pinned bit for bit
+    GLUED_DIGESTS = {
+        2: "d9a89d11e833386aafdf63cbe871da6813659505ec65ee336b17c2d36571c37e",
+        3: "9be005b6f7811a8b1938fc6a3a939611f52ef7cd9da8e9a971295feb1cf61348",
+        4: "477330f4298064388fa6f533c15464a1ea51b03636f3fb03416cf532ef2d375a",
+        5: "bf478603362fe3eaea9bdaf35945a973dc8c3f4be830fcc21332de0b6b06c69d",
+    }
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_tilt_views_and_glued_bases_are_pinned(self, K):
+        digest = hashlib.sha256()
+        for seed in range(3):
+            con = relaxed_construction(seed, K)
+            for space in [t.Y for t in con.triples] + [con.M1, con.M2, con.M3]:
+                digest.update(space.basis.tobytes())
+        assert digest.hexdigest() == self.GLUED_DIGESTS[K]
 
 
 class TestContractionInequality:

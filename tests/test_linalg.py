@@ -345,6 +345,36 @@ class TestContains:
             assert linalg.contains(zero, zero, tol=0.0) and linalg.contains(full, zero, tol=0.0)
             assert linalg.contains(full, full, tol=0.0) and not linalg.contains(zero, full, tol=1.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9),
+           st.sampled_from(["nested", "tilted", "larger", "zero"]),
+           st.integers(-10, -1), st.sampled_from([1 / 16, 1 / 4, 4.0, 8.0]))
+    def test_verdict_matches_the_principal_angles(self, seed, n, kind, tol_exp, factor):
+        # inner is nested in outer, or leaves it by a sine 4x or more above or
+        # below tol, or has more columns than outer (some holding it), or is {0}
+        rng = np.random.default_rng(seed)
+        frame = linalg.random_subspace(rng, n, n).basis
+        tol = 10.0 ** tol_exp
+        d1 = int(rng.integers(1, n))
+        outer = linalg.Subspace(n, frame[:, :d1])
+        if kind == "larger":
+            inner = linalg.random_subspace(rng, n, int(rng.integers(d1 + 1, n + 1)))
+            if rng.integers(2):
+                inner = linalg.Subspace(n, frame[:, :inner.dim])
+        elif kind == "zero":
+            inner = linalg.Subspace.zero(n)
+        else:
+            cols = frame[:, :d1] @ linalg.random_subspace(rng, d1, int(rng.integers(1, d1 + 1))).basis
+            if kind == "tilted":
+                sine = factor * tol
+                cols[:, 0] = np.sqrt(1.0 - sine * sine) * cols[:, 0] + sine * frame[:, d1]
+            inner = linalg.Subspace(n, cols)
+        expected = (inner.dim <= outer.dim
+                    and float(np.max(linalg.principal_angles(outer, inner).sin, initial=0.0)) <= tol)
+        assert linalg.contains(outer, inner, tol) == expected
+        if kind == "tilted":
+            assert expected == (factor < 1)
+
 
 class TestIntersect:
     def test_distinct_lines_meet_at_origin(self):
